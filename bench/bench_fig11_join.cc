@@ -47,13 +47,14 @@ int main() {
       kb_t += tree.SerializedSize() / 1024.0;
       std::vector<std::pair<core::Record, core::Record>> r1, r2;
       t.Reset();
-      bool ok1 = user.VerifyJoin(range, basic, &r1, nullptr);
+      core::VerifyResult v1 = user.VerifyJoin(range, basic, &r1);
       u_b += t.ElapsedMs();
       t.Reset();
-      bool ok2 = user.VerifyJoin(range, tree, &r2, nullptr);
+      core::VerifyResult v2 = user.VerifyJoin(range, tree, &r2);
       u_t += t.ElapsedMs();
-      if (!ok1 || !ok2 || r1.size() != r2.size()) {
-        std::fprintf(stderr, "BENCH BUG: join mismatch\n");
+      if (!v1.ok() || !v2.ok() || r1.size() != r2.size()) {
+        std::fprintf(stderr, "BENCH BUG: join mismatch (%s / %s)\n",
+                     v1.ToString().c_str(), v2.ToString().c_str());
         return 1;
       }
     }

@@ -66,12 +66,13 @@ int main() {
     h_costs.sp_ms += t.ElapsedMs();
     h_costs.vo_kb += vo.SerializedSize() / 1024.0;
     t.Reset();
-    bool ok = core::VerifyRangeVoWithLacked(owner.keys().mvk,
-                                            owner.keys().domain, range, user,
-                                            reduced, vo, nullptr, nullptr);
+    core::VerifyResult verdict = core::VerifyRangeVoWithLackedEx(
+        owner.keys().mvk, owner.keys().domain, range, user, reduced, vo,
+        nullptr);
     h_costs.user_ms += t.ElapsedMs();
-    if (!ok) {
-      std::fprintf(stderr, "BENCH BUG: hierarchical VO failed\n");
+    if (!verdict.ok()) {
+      std::fprintf(stderr, "BENCH BUG: hierarchical VO failed: %s\n",
+                   verdict.ToString().c_str());
       return 1;
     }
   }

@@ -62,16 +62,18 @@ int main() {
       kb_k += kvo.SerializedSize() / 1024.0;
       std::vector<core::Record> r1, r2;
       t.Reset();
-      bool ok1 = user.VerifyRange(range, gvo, &r1, nullptr);
+      core::VerifyResult v1 = user.VerifyRange(range, gvo, &r1);
       u_g += t.ElapsedMs();
       t.Reset();
-      bool ok2 = core::VerifyKdRangeVo(owner.keys().mvk, owner.keys().domain,
-                                       range, roles, owner.keys().universe,
-                                       kvo, &r2, nullptr);
+      core::VerifyResult v2 = core::VerifyKdRangeVoEx(
+          owner.keys().mvk, owner.keys().domain, range, roles,
+          owner.keys().universe, kvo, &r2);
       u_k += t.ElapsedMs();
-      if (!ok1 || !ok2 || r1.size() != r2.size()) {
-        std::fprintf(stderr, "BENCH BUG: grid/kd result mismatch (%zu/%zu)\n",
-                     r1.size(), r2.size());
+      if (!v1.ok() || !v2.ok() || r1.size() != r2.size()) {
+        std::fprintf(stderr,
+                     "BENCH BUG: grid/kd result mismatch (%zu/%zu; %s / %s)\n",
+                     r1.size(), r2.size(), v1.ToString().c_str(),
+                     v2.ToString().c_str());
         return 1;
       }
     }

@@ -87,7 +87,7 @@ int main() {
       sp[0] += t.ElapsedMs();
       kb[0] += bvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok0 = zk_user.VerifyRange(zk_range, bvo, nullptr, nullptr);
+      core::VerifyResult v0 = zk_user.VerifyRange(zk_range, bvo, nullptr);
       us[0] += t.ElapsedMs();
 
       // ZK AP2G-tree over the virtual dimension.
@@ -96,7 +96,7 @@ int main() {
       sp[1] += t.ElapsedMs();
       kb[1] += zvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok1 = zk_user.VerifyRange(zk_range, zvo, nullptr, nullptr);
+      core::VerifyResult v1 = zk_user.VerifyRange(zk_range, zvo, nullptr);
       us[1] += t.ElapsedMs();
 
       // Non-ZK dup-embedding tree.
@@ -108,14 +108,14 @@ int main() {
       sp[2] += t.ElapsedMs();
       kb[2] += nvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok2 = core::VerifyDupRangeVo(nz_owner.keys().mvk, cfg.domain,
-                                        range, roles,
-                                        nz_owner.keys().universe, nvo,
-                                        nullptr, nullptr);
+      core::VerifyResult v2 = core::VerifyDupRangeVoEx(
+          nz_owner.keys().mvk, cfg.domain, range, roles,
+          nz_owner.keys().universe, nvo, nullptr);
       us[2] += t.ElapsedMs();
-      if (!ok0 || !ok1 || !ok2) {
-        std::fprintf(stderr, "BENCH BUG: duplicate VO failed (%d/%d/%d)\n",
-                     ok0, ok1, ok2);
+      if (!v0.ok() || !v1.ok() || !v2.ok()) {
+        std::fprintf(stderr, "BENCH BUG: duplicate VO failed (%s / %s / %s)\n",
+                     v0.ToString().c_str(), v1.ToString().c_str(),
+                     v2.ToString().c_str());
         return 1;
       }
     }

@@ -187,10 +187,11 @@ inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
     costs.vo_kb += static_cast<double>(vo.SerializedSize()) / 1024.0;
     std::vector<core::Record> results;
     t.Reset();
-    bool ok = user.VerifyRange(range, vo, &results, nullptr);
+    core::VerifyResult verdict = user.VerifyRange(range, vo, &results);
     costs.user_ms += t.ElapsedMs();
-    if (!ok) {
-      std::fprintf(stderr, "BENCH BUG: VO failed verification\n");
+    if (!verdict.ok()) {
+      std::fprintf(stderr, "BENCH BUG: VO failed verification: %s\n",
+                   verdict.ToString().c_str());
       std::abort();
     }
     costs.results += static_cast<double>(results.size());

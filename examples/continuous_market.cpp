@@ -38,15 +38,15 @@ int main() {
   std::printf("ADS size: %.1f KB\n\n", ads.SerializedSizeBytes() / 1024.0);
 
   policy::RoleSet trader = {"Trader"};
-  std::string error;
 
   // Range query over the first millisecond.
   ContinuousVo vo = BuildContinuousRangeVo(ads, mvk, 1'000'000, 1'001'000,
                                            trader, universe, &rng);
   std::vector<ContinuousRecord> results;
-  if (!VerifyContinuousRangeVo(mvk, 1'000'000, 1'001'000, trader, universe,
-                               vo, &results, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  VerifyResult verdict = VerifyContinuousRangeVoEx(
+      mvk, 1'000'000, 1'001'000, trader, universe, vo, &results);
+  if (!verdict.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", verdict.ToString().c_str());
     return 1;
   }
   std::printf("trader range [1000000, 1001000]: verified\n");
@@ -62,9 +62,10 @@ int main() {
   ContinuousVo evo =
       BuildContinuousEqualityVo(ads, mvk, 1'005'000, trader, universe, &rng);
   std::optional<ContinuousRecord> result;
-  if (!VerifyContinuousEqualityVo(mvk, 1'005'000, trader, universe, evo,
-                                  &result, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  verdict = VerifyContinuousEqualityVoEx(mvk, 1'005'000, trader, universe,
+                                         evo, &result);
+  if (!verdict.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", verdict.ToString().c_str());
     return 1;
   }
   std::printf("equality t=1005000: verified, %s\n",
@@ -75,9 +76,10 @@ int main() {
   // trade-off versus the zero-knowledge grid.
   ContinuousVo fvo =
       BuildContinuousEqualityVo(ads, mvk, 1'000'048, trader, universe, &rng);
-  if (!VerifyContinuousEqualityVo(mvk, 1'000'048, trader, universe, fvo,
-                                  &result, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  verdict = VerifyContinuousEqualityVoEx(mvk, 1'000'048, trader, universe,
+                                         fvo, &result);
+  if (!verdict.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", verdict.ToString().c_str());
     return 1;
   }
   std::printf("equality t=1000048: verified, %s\n",

@@ -5,7 +5,10 @@
 #      seeded-violation fixtures in scripts/lint_fixtures/ through every
 #      rule (a lint that stops firing is worse than no lint), then the tree
 #      lint itself — secret-taint, untrusted-taint, [[nodiscard]] markers,
-#      freshness-gate ordering, retry taxonomy, and lock-rank hygiene
+#      retry taxonomy, and lock-rank hygiene (freshness-gate ordering is
+#      structural: only core/parallel_verify.h's RunVerifier can build a
+#      SigBatch, pinned by compile_fail_sig_batch_outside_run_verifier and
+#      the freshness_test eight-verifier matrix)
 #   2. Release build with -Werror + full ctest (includes the negative-compile
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the

@@ -38,10 +38,6 @@ Untrusted taint (hostile-SP path):
       (src/, tests/, bench/, examples/), so `--list-discards` audits every
       deliberately dropped return value; accidental drops of [[nodiscard]]
       values are compile errors under -Werror (check.sh).
-  R12 freshness gates first: in every Verify*Ex body, CheckFreshness runs
-      before any structural or signature work (SigBatch, policy Evaluate,
-      coverage checks) — a replayed VO must fail kStaleEpoch before the
-      verifier spends effort on it or leaks timing about its contents.
   R13 fatal means fatal: in net/client.cc a kVerifyRejected/kServerRejected
       status must be returned immediately (never looped back into a retry),
       and in net/frame.cc RpcErrorRetryable must keep kBadRequest/kInternal
@@ -212,12 +208,6 @@ UNTRUSTED_WINDOW = 3
 DISCARD = re.compile(r"\(void\)\s*[A-Za-z_][\w:]*(?:[.\->\w:]*)\s*\(")
 DISCARD_REASON = re.compile(r"//\s*discard-ok:")
 
-# R12: anchors marking "real verification work" inside a Verify*Ex body.
-VERIFY_EX_SIG = re.compile(r"\bVerifyResult\s+(Verify\w*Ex)\s*\(")
-FRESHNESS_CALL = re.compile(r"\bCheckFreshness\s*\(")
-WORK_ANCHOR = re.compile(r"\bSigBatch\b|\.Evaluate\s*\(|\bCheckCoverage|"
-                         r"\bFirstFailure\s*\(|\bAttributeBase")
-
 # R13: fatal client statuses that must be returned, not retried.
 FATAL_STATUS = re.compile(
     r"status\s*=\s*ClientStatus::k(?:VerifyRejected|ServerRejected)\b")
@@ -254,49 +244,6 @@ def source_files(roots):
             for name in sorted(names):
                 if name.endswith((".h", ".cc", ".cpp")):
                     yield os.path.join(dirpath, name)
-
-
-def check_freshness_first(rel, stripped_lines, violations):
-    """R12: CheckFreshness precedes any work anchor in each Verify*Ex body."""
-    text = "\n".join(stripped_lines)
-    for m in VERIFY_EX_SIG.finditer(text):
-        # Walk past the parameter list, then expect `{` (skip declarations).
-        i = text.find("(", m.end() - 1)
-        depth, n = 0, len(text)
-        while i < n:
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        i += 1
-        while i < n and text[i] in " \t\r\n":
-            i += 1
-        if i >= n or text[i] != "{":
-            continue  # declaration or macro — no body to check
-        start, depth = i, 0
-        while i < n:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        body = text[start:i]
-        work = WORK_ANCHOR.search(body)
-        if work is None:
-            continue  # thin wrapper / delegate: nothing gated here
-        fresh = FRESHNESS_CALL.search(body)
-        if fresh is None or fresh.start() > work.start():
-            lineno = text.count("\n", 0, m.start()) + 1
-            violations.append(
-                (rel, lineno, "R12",
-                 f"{m.group(1)}: verification work before (or without) the "
-                 "CheckFreshness gate — a replayed VO must fail kStaleEpoch "
-                 "first", m.group(1)))
 
 
 def check_retry_taxonomy(rel, raw_lines, stripped_lines, violations):
@@ -377,7 +324,6 @@ def lint_file(rel, raw_lines, result):
                     (rel, 1, "R9",
                      f"type-level [[nodiscard]] marker on {name} is gone — "
                      "dropped verdicts would compile again", name))
-        check_freshness_first(rel, stripped, violations)
         check_retry_taxonomy(rel, raw_lines, stripped, violations)
 
 

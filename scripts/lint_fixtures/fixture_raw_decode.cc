@@ -8,7 +8,7 @@ VerifyResult VerifyFromWire(const VerifyKey& mvk,
                             const std::vector<std::uint8_t>& bytes) {
   common::ByteReader r(bytes);
   Vo vo = Vo::DeserializeRaw(&r);
-  return VerifyEqualityVo(mvk, vo);
+  return VerifyEqualityVoEx(mvk, vo);
 }
 
 }  // namespace apqa::core

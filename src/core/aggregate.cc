@@ -27,18 +27,6 @@ std::optional<AggregateResult> VerifyAndAggregateEx(
   return agg;
 }
 
-std::optional<AggregateResult> VerifyAndAggregate(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, std::string* error, ThreadPool* pool,
-    std::uint64_t expected_epoch) {
-  VerifyResult why;
-  auto agg = VerifyAndAggregateEx(mvk, domain, range, user_roles, universe, vo,
-                                  measure, &why, pool, expected_epoch);
-  if (!agg.has_value() && error != nullptr) *error = why.ToString();
-  return agg;
-}
-
 std::optional<double> NumericValueMeasure(const Record& record) {
   const char* begin = record.value.c_str();
   char* end = nullptr;

@@ -61,13 +61,6 @@ inline std::optional<AggregateResult> VerifyAndAggregateEx(
                               expected_epoch);
 }
 
-// Legacy bool-style API; `error` receives the stringified result.
-std::optional<AggregateResult> VerifyAndAggregate(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, std::string* error,
-    ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
-
 // Convenience measure: parses the record value as a decimal number.
 std::optional<double> NumericValueMeasure(const Record& record);
 

@@ -135,13 +135,6 @@ inline VerifyResult VerifyContinuousRangeVoEx(
                                    expected_epoch);
 }
 
-bool VerifyContinuousRangeVo(const VerifyKey& mvk, std::uint64_t alpha,
-                             std::uint64_t beta, const RoleSet& user_roles,
-                             const RoleSet& universe, const ContinuousVo& vo,
-                             std::vector<ContinuousRecord>* results,
-                             std::string* error, ThreadPool* pool = nullptr,
-                             std::uint64_t expected_epoch = 0);
-
 // SP side: equality query. Either one record entry (result/inaccessible) or
 // one gap entry proving absence.
 ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
@@ -168,14 +161,6 @@ inline VerifyResult VerifyContinuousEqualityVoEx(
                                       vo.Unvalidated(), result, pool,
                                       expected_epoch);
 }
-
-bool VerifyContinuousEqualityVo(const VerifyKey& mvk, std::uint64_t key,
-                                const RoleSet& user_roles,
-                                const RoleSet& universe, const ContinuousVo& vo,
-                                std::optional<ContinuousRecord>* result,
-                                std::string* error,
-                                ThreadPool* pool = nullptr,
-                                std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

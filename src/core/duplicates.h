@@ -160,13 +160,6 @@ inline VerifyResult VerifyDupRangeVoEx(const VerifyKey& mvk,
                             vo.Unvalidated(), results, pool, expected_epoch);
 }
 
-bool VerifyDupRangeVo(const VerifyKey& mvk, const Domain& domain,
-                      const Box& range, const RoleSet& user_roles,
-                      const RoleSet& universe, const DupVo& vo,
-                      std::vector<Record>* results, std::string* error,
-                      ThreadPool* pool = nullptr,
-                      std::uint64_t expected_epoch = 0);
-
 }  // namespace apqa::core
 
 #endif  // APQA_CORE_DUPLICATES_H_

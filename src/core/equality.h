@@ -26,8 +26,8 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
 // User side: verifies the VO against the queried key. On success, when the
 // record is accessible, `result` (if not null) receives it and *accessible
 // is set accordingly.
-// The single signature check routes through SigBatch like every other Ex
-// verifier (see core/parallel_verify.h); `pool` keeps the API uniform.
+// Runs on the shared verifier skeleton like every other Ex verifier (see
+// core/parallel_verify.h); `pool` keeps the API uniform.
 VerifyResult VerifyEqualityVoEx(const VerifyKey& mvk, const Domain& domain,
                                 const Point& key, const RoleSet& user_roles,
                                 const RoleSet& universe, const Vo& vo,
@@ -49,14 +49,6 @@ inline VerifyResult VerifyEqualityVoEx(
                             vo.Unvalidated(), result, accessible,
                             exact_pairings, pool, expected_epoch);
 }
-
-// Legacy bool API; `error` (if not null) receives the stringified result.
-bool VerifyEqualityVo(const VerifyKey& mvk, const Domain& domain,
-                      const Point& key, const RoleSet& user_roles,
-                      const RoleSet& universe, const Vo& vo, Record* result,
-                      bool* accessible, std::string* error,
-                      bool exact_pairings = false, ThreadPool* pool = nullptr,
-                      std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

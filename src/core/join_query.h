@@ -70,14 +70,6 @@ inline VerifyResult VerifyJoinVoEx(
                         expected_epoch);
 }
 
-// Legacy bool API; `error` (if not null) receives the stringified result.
-bool VerifyJoinVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                  const RoleSet& user_roles, const RoleSet& universe,
-                  const JoinVo& vo,
-                  std::vector<std::pair<Record, Record>>* results,
-                  std::string* error, bool exact_pairings = false,
-                  ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
-
 // --- Multi-way equi-join (§6.2, "easily extended") -------------------------
 //
 // R1 ⋈ R2 ⋈ ... ⋈ Rk on the shared key, key ∈ [α,β]. A cell contributes a
@@ -108,14 +100,6 @@ VerifyResult VerifyMultiJoinVoEx(const VerifyKey& mvk, const Domain& domain,
                                  std::vector<std::vector<Record>>* results,
                                  ThreadPool* pool = nullptr,
                                  std::uint64_t expected_epoch = 0);
-
-bool VerifyMultiJoinVo(const VerifyKey& mvk, const Domain& domain,
-                       const Box& range, const RoleSet& user_roles,
-                       const RoleSet& universe, std::size_t num_tables,
-                       const MultiJoinVo& vo,
-                       std::vector<std::vector<Record>>* results,
-                       std::string* error, ThreadPool* pool = nullptr,
-                       std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

@@ -141,13 +141,6 @@ inline VerifyResult VerifyKdRangeVoEx(const VerifyKey& mvk,
                            vo.Unvalidated(), results, pool, expected_epoch);
 }
 
-bool VerifyKdRangeVo(const VerifyKey& mvk, const Domain& domain,
-                     const Box& range, const RoleSet& user_roles,
-                     const RoleSet& universe, const KdVo& vo,
-                     std::vector<Record>* results, std::string* error,
-                     ThreadPool* pool = nullptr,
-                     std::uint64_t expected_epoch = 0);
-
 }  // namespace apqa::core
 
 #endif  // APQA_CORE_KD_TREE_H_

@@ -1,8 +1,23 @@
-// Whole-VO signature batching with deterministic blame.
+// The user-side verifier skeleton and its whole-VO signature batch.
 //
-// Every verifier walks its VO once, doing the cheap structural checks
-// (coverage, key agreement, policy evaluation) serially in the original
-// order, and queues the expensive ABS signature checks into a SigBatch.
+// The paper's user-side check is one algorithm for every query shape
+// (Algorithms 1, 3 and 4, §9, Appendix E): check the VO's claims, verify the
+// ABS signatures, release only the rows those signatures cover. RunVerifier
+// is that algorithm; each Verify*Ex supplies only its structural walk and
+// the row each queued signature job releases. RunVerifier fixes the order:
+//   1. CheckFreshness on every stamp of the VO (one for most VOs, two for a
+//      join, N for a multi-join) — a replayed VO fails kStaleEpoch before
+//      any structural or signature work. SigBatch is constructible only by
+//      RunVerifier, after this gate, so no verifier can reorder it;
+//   2. the walk: the cheap structural checks (query validity, coverage, key
+//      agreement, policy evaluation) serially in entry order, queueing one
+//      SigBatch job per ABS check; its first failure is the structural
+//      verdict, and jobs queued before it still run;
+//   3. SigBatch::FirstFailure over the queued jobs;
+//   4. release of the rows attached to jobs below EmitLimit, in job order;
+//   5. the batch failure if any (it precedes the structural failure in the
+//      sequential order), else the structural verdict.
+//
 // By default the batch folds ALL queued signatures into one
 // abs::BatchAccumulator — one G1 MSM per shared prepared G2 base, two
 // shared message-side G2 MSMs, and a single final exponentiation for the
@@ -27,17 +42,20 @@
 // Thread-safety: jobs only read the VO, the verify key's prepared tables
 // (immutable once built; the attribute memo is mutex-guarded), and
 // per-call randomness. Pool workers write disjoint slots or claim jobs via
-// monotonic fetch_add, so the fan-out is TSan-clean by construction.
+// monotonic fetch_add, so the fan-out is TSan-clean by construction. Rows
+// are released on the calling thread after the batch has run.
 #ifndef APQA_CORE_PARALLEL_VERIFY_H_
 #define APQA_CORE_PARALLEL_VERIFY_H_
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
+#include "core/app_signature.h"
 #include "core/thread_pool.h"
 #include "core/verify_result.h"
 
@@ -59,22 +77,51 @@ class ScopedPerSignatureVerify {
   static inline thread_local int depth_ = 0;
 };
 
+class SigBatch;
+
+// Structural walk of one verifier: validates the query and coverage, queues
+// the VO's ABS checks into the batch, and returns the first structural
+// failure (or Ok).
+using VoWalk = std::function<VerifyResult(SigBatch&)>;
+
+// Runs one verifier on the skeleton above: checks every stamp in `stamps`
+// against `expected_epoch`, runs `walk` on a fresh SigBatch, verifies the
+// queued signatures (over `pool` when given), releases the covered rows and
+// returns the verdict.
+inline VerifyResult RunVerifier(const abs::VerifyKey& mvk,
+                                const std::vector<const EpochStamp*>& stamps,
+                                std::uint64_t expected_epoch,
+                                bool exact_pairings, ThreadPool* pool,
+                                const VoWalk& walk);
+
 class SigBatch {
  public:
-  SigBatch(const abs::VerifyKey& mvk, bool exact_pairings)
-      : mvk_(mvk), exact_(exact_pairings) {}
+  // Row release of one job: runs iff this job and every job queued before
+  // it verified.
+  using Release = std::function<void()>;
 
-  // Queues one ABS check in sequential-verifier order; returns its job
-  // index. `policy` and `sig` must outlive FirstFailure (they point into
-  // the VO or at a caller-owned super policy); `on_fail` is the exact
-  // VerifyResult the sequential verifier would return if this check fails.
-  std::size_t Add(std::vector<std::uint8_t> msg, const policy::Policy* policy,
-                  const abs::Signature* sig, VerifyResult on_fail) {
-    jobs_.push_back(Job{std::move(msg), policy, sig, std::move(on_fail)});
-    return jobs_.size() - 1;
+  // Queues one ABS check in sequential-verifier order. `policy` and `sig`
+  // must outlive the RunVerifier call (they point into the VO or at a
+  // caller-owned super policy); `on_fail` is the exact VerifyResult the
+  // sequential verifier would return if this check fails; `release` emits
+  // the row this signature covers.
+  void Add(std::vector<std::uint8_t> msg, const policy::Policy* policy,
+           const abs::Signature* sig, VerifyResult on_fail,
+           Release release = {}) {
+    jobs_.push_back(Job{std::move(msg), policy, sig, std::move(on_fail),
+                        std::move(release)});
   }
 
-  std::size_t size() const { return jobs_.size(); }
+ private:
+  friend VerifyResult RunVerifier(const abs::VerifyKey&,
+                                  const std::vector<const EpochStamp*>&,
+                                  std::uint64_t, bool, ThreadPool*,
+                                  const VoWalk&);
+
+  SigBatch(const abs::VerifyKey& mvk, bool exact_pairings)
+      : mvk_(mvk), exact_(exact_pairings) {}
+  SigBatch(const SigBatch&) = delete;
+  SigBatch& operator=(const SigBatch&) = delete;
 
   // Runs the queued checks; returns the lowest failing job index, or -1 if
   // all pass. Default: whole-VO batch with bisect blame recovery; exact
@@ -107,10 +154,6 @@ class SigBatch {
     return Bisect(pool, s);
   }
 
-  const VerifyResult& failure(std::ptrdiff_t i) const {
-    return jobs_[static_cast<std::size_t>(i)].on_fail;
-  }
-
   // Jobs strictly below this index succeeded; used for partial-result
   // emission after a failure (matching the sequential verifier, which
   // emits an entry's results only once all its checks have passed).
@@ -119,12 +162,12 @@ class SigBatch {
                               : jobs_.size();
   }
 
- private:
   struct Job {
     std::vector<std::uint8_t> msg;
     const policy::Policy* policy;
     const abs::Signature* sig;
     VerifyResult on_fail;
+    Release release;
   };
 
   bool Check(const Job& j) const {
@@ -212,6 +255,28 @@ class SigBatch {
   bool exact_;
   std::vector<Job> jobs_;
 };
+
+inline VerifyResult RunVerifier(const abs::VerifyKey& mvk,
+                                const std::vector<const EpochStamp*>& stamps,
+                                std::uint64_t expected_epoch,
+                                bool exact_pairings, ThreadPool* pool,
+                                const VoWalk& walk) {
+  for (const EpochStamp* stamp : stamps) {
+    if (VerifyResult f = CheckFreshness(mvk, *stamp, expected_epoch);
+        !f.ok()) {
+      return f;
+    }
+  }
+  SigBatch batch(mvk, exact_pairings);
+  VerifyResult struct_fail = walk(batch);
+  std::ptrdiff_t bad = batch.FirstFailure(pool);
+  std::size_t emit = batch.EmitLimit(bad);
+  for (std::size_t i = 0; i < emit; ++i) {
+    if (batch.jobs_[i].release) batch.jobs_[i].release();
+  }
+  if (bad >= 0) return batch.jobs_[static_cast<std::size_t>(bad)].on_fail;
+  return struct_fail;
+}
 
 }  // namespace apqa::core
 

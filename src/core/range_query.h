@@ -66,25 +66,10 @@ inline VerifyResult VerifyRangeVoEx(const VerifyKey& mvk, const Domain& domain,
                          expected_epoch);
 }
 
-// Legacy bool APIs; `error` (if not null) receives the stringified result.
-bool VerifyRangeVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                   const RoleSet& user_roles, const RoleSet& universe,
-                   const Vo& vo, std::vector<Record>* results,
-                   std::string* error, bool exact_pairings = false,
-                   ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
-bool VerifyRangeVoWithLacked(const VerifyKey& mvk, const Domain& domain,
-                             const Box& range, const RoleSet& user_roles,
-                             const RoleSet& lacked, const Vo& vo,
-                             std::vector<Record>* results, std::string* error,
-                             bool exact_pairings = false,
-                             ThreadPool* pool = nullptr,
-                             std::uint64_t expected_epoch = 0);
-
 // Shared helper (also used by join verification): checks that the entry
 // regions are well-formed, inside `range`, pairwise disjoint, and tile it
 // exactly.
 VerifyResult CheckCoverageEx(const Box& range, const Vo& vo);
-bool CheckCoverage(const Box& range, const Vo& vo, std::string* error);
 
 }  // namespace apqa::core
 

@@ -174,66 +174,66 @@ User::User(SystemKeys keys, UserCredentials creds, int threads)
   WarmSignatureEngine(keys_.mvk);
 }
 
-bool User::VerifyEquality(const Point& key, const Vo& vo, Record* result,
-                          bool* accessible, std::string* error) const {
-  return VerifyEqualityVo(keys_.mvk, keys_.domain, key, creds_.roles,
-                          keys_.universe, vo, result, accessible, error,
-                          /*exact_pairings=*/false, pool_.get(),
-                          expected_epoch_);
+VerifyResult User::VerifyEquality(const Point& key, const Vo& vo,
+                                  Record* result, bool* accessible) const {
+  return VerifyEqualityVoEx(keys_.mvk, keys_.domain, key, creds_.roles,
+                            keys_.universe, vo, result, accessible,
+                            /*exact_pairings=*/false, pool_.get(),
+                            expected_epoch_);
 }
 
-bool User::VerifyRange(const Box& range, const Vo& vo,
-                       std::vector<Record>* results, std::string* error) const {
-  return VerifyRangeVo(keys_.mvk, keys_.domain, range, creds_.roles,
-                       keys_.universe, vo, results, error,
-                       /*exact_pairings=*/false, pool_.get(),
-                       expected_epoch_);
+VerifyResult User::VerifyRange(const Box& range, const Vo& vo,
+                               std::vector<Record>* results) const {
+  return VerifyRangeVoEx(keys_.mvk, keys_.domain, range, creds_.roles,
+                         keys_.universe, vo, results,
+                         /*exact_pairings=*/false, pool_.get(),
+                         expected_epoch_);
 }
 
-bool User::VerifyJoin(const Box& range, const JoinVo& vo,
-                      std::vector<std::pair<Record, Record>>* results,
-                      std::string* error) const {
-  return VerifyJoinVo(keys_.mvk, keys_.domain, range, creds_.roles,
-                      keys_.universe, vo, results, error,
-                      /*exact_pairings=*/false, pool_.get(),
-                      expected_epoch_);
+VerifyResult User::VerifyJoin(
+    const Box& range, const JoinVo& vo,
+    std::vector<std::pair<Record, Record>>* results) const {
+  return VerifyJoinVoEx(keys_.mvk, keys_.domain, range, creds_.roles,
+                        keys_.universe, vo, results,
+                        /*exact_pairings=*/false, pool_.get(),
+                        expected_epoch_);
 }
 
-bool User::OpenAndVerifyRange(const Box& range, const cpabe::Envelope& env,
-                              std::vector<Record>* results,
-                              std::string* error) const {
+VerifyResult User::OpenSealedVo(const cpabe::Envelope& env,
+                                common::Untrusted<Vo>* vo) const {
   auto plain = cpabe::Open(keys_.cpk, creds_.cpabe_sk, env);
   if (!plain.has_value()) {
-    if (error != nullptr) *error = "cannot open sealed response";
-    return false;
+    return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                              "cannot open sealed response");
   }
   common::ByteReader r(*plain);
-  common::Untrusted<Vo> vo = Vo::Deserialize(&r);
-  if (!r.ok()) {
-    if (error != nullptr) *error = "malformed sealed VO";
-    return false;
+  *vo = Vo::Deserialize(&r);
+  if (!r.ok()) return VerifyResult::FromReader(r);
+  if (!r.AtEnd()) {
+    return VerifyResult::Fail(VerifyCode::kMalformedVo,
+                              "trailing bytes after sealed VO");
   }
+  return VerifyResult::Ok();
+}
+
+VerifyResult User::OpenAndVerifyRange(const Box& range,
+                                      const cpabe::Envelope& env,
+                                      std::vector<Record>* results) const {
+  common::Untrusted<Vo> vo;
+  if (VerifyResult r = OpenSealedVo(env, &vo); !r.ok()) return r;
   // untrusted-ok: handed straight to VerifyRange, the declassification gate.
-  return VerifyRange(range, vo.Unvalidated(), results, error);
+  return VerifyRange(range, vo.Unvalidated(), results);
 }
 
-bool User::OpenAndVerifyEquality(const Point& key, const cpabe::Envelope& env,
-                                 Record* result, bool* accessible,
-                                 std::string* error) const {
-  auto plain = cpabe::Open(keys_.cpk, creds_.cpabe_sk, env);
-  if (!plain.has_value()) {
-    if (error != nullptr) *error = "cannot open sealed response";
-    return false;
-  }
-  common::ByteReader r(*plain);
-  common::Untrusted<Vo> vo = Vo::Deserialize(&r);
-  if (!r.ok()) {
-    if (error != nullptr) *error = "malformed sealed VO";
-    return false;
-  }
+VerifyResult User::OpenAndVerifyEquality(const Point& key,
+                                         const cpabe::Envelope& env,
+                                         Record* result,
+                                         bool* accessible) const {
+  common::Untrusted<Vo> vo;
+  if (VerifyResult r = OpenSealedVo(env, &vo); !r.ok()) return r;
   // untrusted-ok: handed straight to VerifyEquality, the declassification
   // gate.
-  return VerifyEquality(key, vo.Unvalidated(), result, accessible, error);
+  return VerifyEquality(key, vo.Unvalidated(), result, accessible);
 }
 
 }  // namespace apqa::core

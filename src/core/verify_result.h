@@ -2,8 +2,7 @@
 //
 // Every user-side verifier reports *why* a VO was rejected, not just that it
 // was: a machine-readable code, the index of the offending entry when one
-// can be named, and a human-readable detail string. The legacy bool-
-// returning verifiers remain as thin wrappers that stringify the result.
+// can be named, and a human-readable detail string.
 //
 // Codes split into three layers, mirroring where on the untrusted path the
 // check lives:

@@ -7,6 +7,7 @@
 #include "core/kd_tree.h"
 #include "core/parallel_verify.h"
 #include "core/system.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -47,10 +48,8 @@ TEST_F(SystemTest, EqualityAccessible) {
   Vo vo = sp_->EqualityQuery(Point{1}, user_ab_->roles());
   Record result;
   bool accessible = false;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyEquality(Point{1}, vo, &result, &accessible,
-                                       &error))
-      << error;
+  ASSERT_TRUE(
+      Verified(user_ab_->VerifyEquality(Point{1}, vo, &result, &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(result.value, "v1");
 }
@@ -64,10 +63,9 @@ TEST_F(SystemTest, EqualityInaccessibleAndAbsentLookAlike) {
     EXPECT_TRUE(
         std::holds_alternative<InaccessibleRecordEntry>(vo.entries[0]));
     bool accessible = true;
-    std::string error;
-    ASSERT_TRUE(user_ab_->VerifyEquality(Point{key}, vo, nullptr, &accessible,
-                                         &error))
-        << "key " << key << ": " << error;
+    ASSERT_TRUE(Verified(
+        user_ab_->VerifyEquality(Point{key}, vo, nullptr, &accessible)))
+        << "key " << key;
     EXPECT_FALSE(accessible);
   }
 }
@@ -75,15 +73,16 @@ TEST_F(SystemTest, EqualityInaccessibleAndAbsentLookAlike) {
 TEST_F(SystemTest, EqualityVoDoesNotMatchOtherKey) {
   Vo vo = sp_->EqualityQuery(Point{1}, user_ab_->roles());
   bool accessible;
-  EXPECT_FALSE(user_ab_->VerifyEquality(Point{2}, vo, nullptr, &accessible));
+  EXPECT_TRUE(
+      Rejected(user_ab_->VerifyEquality(Point{2}, vo, nullptr, &accessible),
+               VerifyCode::kKeyMismatch, 0));
 }
 
 TEST_F(SystemTest, RangeQueryReturnsAccessibleRecords) {
   Box range{Point{1}, Point{9}};
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user_ab_->VerifyRange(range, vo, &results)));
   // user {A,B} can access: 1 (A), 3 (A&B), 7 ((A&B)|C), 9 (B) — not 4 (C).
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
@@ -94,8 +93,7 @@ TEST_F(SystemTest, RangeQueryOtherUser) {
   Box range{Point{1}, Point{9}};
   Vo vo = sp_->RangeQuery(range, user_c_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_c_->VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user_c_->VerifyRange(range, vo, &results)));
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{4, 7}));
@@ -107,8 +105,7 @@ TEST_F(SystemTest, RangeAggregatesInaccessibleSubtrees) {
   Box range{Point{0}, Point{15}};
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   EXPECT_LT(vo.entries.size(), 16u);
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, vo, nullptr, &error)) << error;
+  ASSERT_TRUE(Verified(user_ab_->VerifyRange(range, vo, nullptr)));
   bool has_box_entry = false;
   for (const auto& e : vo.entries) {
     has_box_entry |= std::holds_alternative<InaccessibleBoxEntry>(e);
@@ -121,7 +118,8 @@ TEST_F(SystemTest, RangeRejectsDroppedEntry) {
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   Vo bad = vo;
   bad.entries.pop_back();  // incomplete coverage
-  EXPECT_FALSE(user_ab_->VerifyRange(range, bad, nullptr));
+  EXPECT_TRUE(Rejected(user_ab_->VerifyRange(range, bad, nullptr),
+                       VerifyCode::kCoverageGap));
 }
 
 TEST_F(SystemTest, RangeRejectsDroppedResult) {
@@ -135,20 +133,25 @@ TEST_F(SystemTest, RangeRejectsDroppedResult) {
     }
     bad.entries.push_back(e);
   }
-  EXPECT_FALSE(user_ab_->VerifyRange(range, bad, nullptr));
+  EXPECT_TRUE(Rejected(user_ab_->VerifyRange(range, bad, nullptr),
+                       VerifyCode::kCoverageGap));
 }
 
 TEST_F(SystemTest, RangeRejectsTamperedValue) {
   Box range{Point{1}, Point{9}};
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   Vo bad = vo;
-  for (auto& e : bad.entries) {
-    if (auto* res = std::get_if<ResultEntry>(&e)) {
+  std::ptrdiff_t forged = -1;
+  for (std::size_t i = 0; i < bad.entries.size(); ++i) {
+    if (auto* res = std::get_if<ResultEntry>(&bad.entries[i])) {
       res->value = "forged";
+      forged = static_cast<std::ptrdiff_t>(i);
       break;
     }
   }
-  EXPECT_FALSE(user_ab_->VerifyRange(range, bad, nullptr));
+  ASSERT_GE(forged, 0);
+  EXPECT_TRUE(Rejected(user_ab_->VerifyRange(range, bad, nullptr),
+                       VerifyCode::kBadSignature, forged));
 }
 
 TEST_F(SystemTest, RangeRejectsResultPresentedAsInaccessible) {
@@ -176,8 +179,10 @@ TEST_F(SystemTest, RangeRejectsResultPresentedAsInaccessible) {
     bad.entries.push_back(e);
   }
   // Either coverage breaks (RoleC view aggregated differently) or the APS
-  // signature fails under user_ab's super policy. It must not verify.
-  EXPECT_FALSE(user_ab_->VerifyRange(range, bad, nullptr));
+  // signature fails under user_ab's super policy. It must not verify; on
+  // this database the splice leaves a coverage gap.
+  EXPECT_TRUE(Rejected(user_ab_->VerifyRange(range, bad, nullptr),
+                       VerifyCode::kCoverageGap));
 }
 
 TEST_F(SystemTest, BasicRangeMatchesTreeRange) {
@@ -186,9 +191,8 @@ TEST_F(SystemTest, BasicRangeMatchesTreeRange) {
   Vo basic_vo = sp_->BasicRangeQuery(range, user_ab_->roles());
   EXPECT_EQ(basic_vo.entries.size(), 7u);  // one per cell
   std::vector<Record> r1, r2;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, tree_vo, &r1, &error)) << error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, basic_vo, &r2, &error)) << error;
+  ASSERT_TRUE(Verified(user_ab_->VerifyRange(range, tree_vo, &r1)));
+  ASSERT_TRUE(Verified(user_ab_->VerifyRange(range, basic_vo, &r2)));
   auto key_of = [](const Record& r) { return r.key[0]; };
   std::set<std::uint32_t> k1, k2;
   for (const auto& r : r1) k1.insert(key_of(r));
@@ -206,22 +210,20 @@ TEST_F(SystemTest, VoSerializationRoundTrip) {
   common::ByteReader r(w.data());
   Vo back = Vo::DeserializeRaw(&r);
   ASSERT_TRUE(r.ok());
-  std::string error;
-  EXPECT_TRUE(user_ab_->VerifyRange(range, back, nullptr, &error)) << error;
+  EXPECT_TRUE(Verified(user_ab_->VerifyRange(range, back, nullptr)));
 }
 
 TEST_F(SystemTest, SealedEqualityQuery) {
   cpabe::Envelope env = sp_->SealedEqualityQuery(Point{1}, user_ab_->roles());
   Record result;
   bool accessible = false;
-  std::string error;
-  ASSERT_TRUE(user_ab_->OpenAndVerifyEquality(Point{1}, env, &result,
-                                              &accessible, &error))
-      << error;
+  ASSERT_TRUE(Verified(user_ab_->OpenAndVerifyEquality(Point{1}, env, &result,
+                                                       &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(result.value, "v1");
-  EXPECT_FALSE(
-      user_c_->OpenAndVerifyEquality(Point{1}, env, nullptr, nullptr));
+  EXPECT_TRUE(
+      Rejected(user_c_->OpenAndVerifyEquality(Point{1}, env, nullptr, nullptr),
+               VerifyCode::kPolicyNotSatisfied));
   EXPECT_GT(env.SerializedSize(), 0u);
 }
 
@@ -229,11 +231,38 @@ TEST_F(SystemTest, SealedRangeOnlyOpensForClaimedRoles) {
   Box range{Point{1}, Point{6}};
   cpabe::Envelope env = sp_->SealedRangeQuery(range, user_ab_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->OpenAndVerifyRange(range, env, &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(user_ab_->OpenAndVerifyRange(range, env, &results)));
   // A RoleC user impersonating {A,B} cannot open the response.
-  EXPECT_FALSE(user_c_->OpenAndVerifyRange(range, env, nullptr));
+  EXPECT_TRUE(Rejected(user_c_->OpenAndVerifyRange(range, env, nullptr),
+                       VerifyCode::kPolicyNotSatisfied));
+}
+
+TEST_F(SystemTest, SealedVoWithTrailingBytesIsMalformed) {
+  // A sealed response must hold exactly one VO, as on every other wire
+  // decode path: bytes after it make the response malformed, on both sealed
+  // query shapes.
+  auto seal = [&](const Vo& vo, bool pad) {
+    common::ByteWriter w;
+    vo.Serialize(&w);
+    std::vector<std::uint8_t> bytes = w.Take();
+    if (pad) bytes.push_back(0x00);
+    Rng rng(2018);
+    return cpabe::Seal(owner_->keys().cpk,
+                       Policy::AndOfRoles(user_ab_->roles()), bytes, &rng);
+  };
+  Box range{Point{1}, Point{6}};
+  Vo range_vo = sp_->RangeQuery(range, user_ab_->roles());
+  ASSERT_TRUE(Verified(
+      user_ab_->OpenAndVerifyRange(range, seal(range_vo, false), nullptr)));
+  EXPECT_TRUE(Rejected(
+      user_ab_->OpenAndVerifyRange(range, seal(range_vo, true), nullptr),
+      VerifyCode::kMalformedVo));
+
+  Vo eq_vo = sp_->EqualityQuery(Point{1}, user_ab_->roles());
+  bool accessible = false;
+  EXPECT_TRUE(Rejected(user_ab_->OpenAndVerifyEquality(
+                           Point{1}, seal(eq_vo, true), nullptr, &accessible),
+                       VerifyCode::kMalformedVo));
 }
 
 class JoinTest : public ::testing::Test {
@@ -272,8 +301,7 @@ TEST_F(JoinTest, JoinReturnsAccessiblePairs) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
   std::vector<std::pair<Record, Record>> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user_ab_->VerifyJoin(range, vo, &results)));
   // Matching keys with both sides real: 1 and 9; both accessible to {A,B}.
   std::set<std::uint32_t> keys;
   for (const auto& [r, s] : results) keys.insert(r.key[0]);
@@ -284,8 +312,7 @@ TEST_F(JoinTest, JoinFiltersInaccessibleSides) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_a_->roles());
   std::vector<std::pair<Record, Record>> results;
-  std::string error;
-  ASSERT_TRUE(user_a_->VerifyJoin(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user_a_->VerifyJoin(range, vo, &results)));
   // Key 9 pair exists but R side needs RoleB: only key 1 joins for RoleA.
   std::set<std::uint32_t> keys;
   for (const auto& [r, s] : results) keys.insert(r.key[0]);
@@ -298,7 +325,8 @@ TEST_F(JoinTest, JoinRejectsDroppedPair) {
   JoinVo bad = vo;
   ASSERT_FALSE(bad.pairs.empty());
   bad.pairs.pop_back();
-  EXPECT_FALSE(user_ab_->VerifyJoin(range, bad, nullptr));
+  EXPECT_TRUE(Rejected(user_ab_->VerifyJoin(range, bad, nullptr),
+                       VerifyCode::kCoverageGap));
 }
 
 TEST_F(JoinTest, JoinRejectsMismatchedPairKeys) {
@@ -307,7 +335,8 @@ TEST_F(JoinTest, JoinRejectsMismatchedPairKeys) {
   ASSERT_GE(vo.pairs.size(), 2u);
   JoinVo bad = vo;
   std::swap(bad.pairs[0].s, bad.pairs[1].s);
-  EXPECT_FALSE(user_ab_->VerifyJoin(range, bad, nullptr));
+  EXPECT_TRUE(Rejected(user_ab_->VerifyJoin(range, bad, nullptr),
+                       VerifyCode::kKeyMismatch, 0));
 }
 
 TEST_F(JoinTest, JoinSerializationRoundTrip) {
@@ -317,8 +346,7 @@ TEST_F(JoinTest, JoinSerializationRoundTrip) {
   vo.Serialize(&w);
   common::ByteReader r(w.data());
   JoinVo back = JoinVo::DeserializeRaw(&r);
-  std::string error;
-  EXPECT_TRUE(user_ab_->VerifyJoin(range, back, nullptr, &error)) << error;
+  EXPECT_TRUE(Verified(user_ab_->VerifyJoin(range, back, nullptr)));
   EXPECT_EQ(vo.SerializedSize(), w.size());
 }
 
@@ -327,9 +355,8 @@ TEST_F(JoinTest, BasicJoinMatchesTreeJoin) {
   JoinVo tree_vo = sp_->JoinQuery(range, user_ab_->roles());
   JoinVo basic_vo = sp_->BasicJoinQuery(range, user_ab_->roles());
   std::vector<std::pair<Record, Record>> r1, r2;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, tree_vo, &r1, &error)) << error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, basic_vo, &r2, &error)) << error;
+  ASSERT_TRUE(Verified(user_ab_->VerifyJoin(range, tree_vo, &r1)));
+  ASSERT_TRUE(Verified(user_ab_->VerifyJoin(range, basic_vo, &r2)));
   EXPECT_EQ(r1.size(), r2.size());
   EXPECT_LE(tree_vo.SerializedSize(), basic_vo.SerializedSize());
 }
@@ -351,8 +378,7 @@ TEST_F(MultiDimTest, TwoDimensionalRange) {
   Box range{Point{0, 0}, Point{2, 2}};
   Vo vo = sp.RangeQuery(range, user.roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user.VerifyRange(range, vo, &results)));
   std::set<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a"}));
@@ -361,7 +387,7 @@ TEST_F(MultiDimTest, TwoDimensionalRange) {
   Box range2{Point{0, 0}, Point{3, 3}};
   Vo vo2 = sp.RangeQuery(range2, user.roles());
   results.clear();
-  ASSERT_TRUE(user.VerifyRange(range2, vo2, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user.VerifyRange(range2, vo2, &results)));
   values.clear();
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a", "d"}));
@@ -386,19 +412,16 @@ TEST(ParallelPathTest, ThreadedBuildAndQueriesMatchSerial) {
 
   Box range{Point{2}, Point{19}};
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(range, sp_par.RangeQuery(range, user.roles()),
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(user.VerifyRange(
+      range, sp_par.RangeQuery(range, user.roles()), &results)));
   std::set<std::string> got;
   for (const auto& r : results) got.insert(r.value);
 
   ServiceProvider sp_ser(owner.keys(), owner.BuildAds(records),
                          /*threads=*/1);
   results.clear();
-  ASSERT_TRUE(user.VerifyRange(range, sp_ser.RangeQuery(range, user.roles()),
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(user.VerifyRange(
+      range, sp_ser.RangeQuery(range, user.roles()), &results)));
   std::set<std::string> want;
   for (const auto& r : results) want.insert(r.value);
   EXPECT_EQ(got, want);
@@ -406,10 +429,9 @@ TEST(ParallelPathTest, ThreadedBuildAndQueriesMatchSerial) {
   // Equality through the pool-backed SP as well.
   Record rec;
   bool accessible = false;
-  ASSERT_TRUE(user.VerifyEquality(
+  ASSERT_TRUE(Verified(user.VerifyEquality(
       Point{3}, sp_par.EqualityQuery(Point{3}, user.roles()), &rec,
-      &accessible, &error))
-      << error;
+      &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(rec.value, "v3");
 }
@@ -484,11 +506,11 @@ TEST(ParallelPathTest, ParallelVerifyMatchesSerialByteForByte) {
   User user_par(owner.keys(), creds, /*threads=*/4);
   User user_ser(owner.keys(), creds);
   std::vector<Record> par_results, ser_results;
-  std::string error;
-  ASSERT_TRUE(user_par.VerifyRange(range, vo, &par_results, &error)) << error;
-  ASSERT_TRUE(user_ser.VerifyRange(range, vo, &ser_results, &error)) << error;
+  ASSERT_TRUE(Verified(user_par.VerifyRange(range, vo, &par_results)));
+  ASSERT_TRUE(Verified(user_ser.VerifyRange(range, vo, &ser_results)));
   EXPECT_TRUE(same_records(par_results, ser_results));
-  EXPECT_FALSE(user_par.VerifyRange(range, bad, nullptr, &error));
+  EXPECT_TRUE(Rejected(user_par.VerifyRange(range, bad, nullptr),
+                       serial_bad.code, serial_bad.entry_index));
 }
 
 // Join verification over a pool: diagnostics and emitted pairs must match

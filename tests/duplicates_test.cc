@@ -5,6 +5,7 @@
 #include "core/duplicates.h"
 #include "core/range_query.h"
 #include "core/system.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -76,8 +77,7 @@ TEST(VirtualDimensionTest, EndToEndZkRangeQuery) {
   Box extended_range = ExtendRangeToVirtualDim(range, extended.extended_domain);
   Vo vo = sp.RangeQuery(extended_range, user.roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(extended_range, vo, &results, &error)) << error;
+  ASSERT_TRUE(Verified(user.VerifyRange(extended_range, vo, &results)));
   // RoleA sees the merged (a,b) super-record and d.
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
@@ -116,10 +116,8 @@ TEST_F(DupTreeTest, RangeReturnsAllAccessibleDuplicates) {
   Box range{Point{0}, Point{7}};
   DupVo vo = BuildDupRangeVo(*tree_, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyDupRangeVo(mvk_, domain_, range, user, universe_, vo,
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyDupRangeVoEx(mvk_, domain_, range, user,
+                                          universe_, vo, &results)));
   std::multiset<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::multiset<std::string>{"a", "c", "d"}));
@@ -133,8 +131,9 @@ TEST_F(DupTreeTest, RejectsHiddenDuplicate) {
   // Drop one accessible duplicate of key 2: dup_num bookkeeping must catch it.
   ASSERT_GE(bad.results.size(), 2u);
   bad.results.erase(bad.results.begin());
-  EXPECT_FALSE(
-      VerifyDupRangeVo(mvk_, domain_, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(VerifyDupRangeVoEx(mvk_, domain_, range, user,
+                                          universe_, bad, nullptr),
+                       VerifyCode::kDuplicateBookkeeping));
 }
 
 TEST_F(DupTreeTest, RejectsForgedDupNum) {
@@ -150,18 +149,17 @@ TEST_F(DupTreeTest, RejectsForgedDupNum) {
   for (auto& e : bad.inaccessible) {
     if (e.key == Point{2}) e.dup_num = 1;
   }
-  EXPECT_FALSE(
-      VerifyDupRangeVo(mvk_, domain_, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(VerifyDupRangeVoEx(mvk_, domain_, range, user,
+                                          universe_, bad, nullptr),
+                       VerifyCode::kBadSignature, 0));
 }
 
 TEST_F(DupTreeTest, InaccessibleGroupsAggregated) {
   RoleSet user = {};  // no roles: everything inaccessible
   Box range{Point{0}, Point{7}};
   DupVo vo = BuildDupRangeVo(*tree_, mvk_, range, user, universe_, rng_.get());
-  std::string error;
-  ASSERT_TRUE(VerifyDupRangeVo(mvk_, domain_, range, user, universe_, vo,
-                               nullptr, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyDupRangeVoEx(mvk_, domain_, range, user,
+                                          universe_, vo, nullptr)));
   EXPECT_TRUE(vo.results.empty());
   // The whole domain should collapse to a single root APS box.
   EXPECT_EQ(vo.boxes.size(), 1u);

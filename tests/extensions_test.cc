@@ -4,6 +4,7 @@
 
 #include "core/aggregate.h"
 #include "core/system.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -34,11 +35,11 @@ TEST_F(AggregateTest, AggregatesAccessibleRecordsOnly) {
   RoleSet roles = {"RoleA"};
   Box range{Point{0}, Point{15}};
   Vo vo = sp_->RangeQuery(range, roles);
-  std::string error;
-  auto agg = VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, vo,
-                                NumericValueMeasure, &error);
-  ASSERT_TRUE(agg.has_value()) << error;
+  VerifyResult why;
+  auto agg = VerifyAndAggregateEx(owner_->keys().mvk, owner_->keys().domain,
+                                  range, roles, owner_->keys().universe, vo,
+                                  NumericValueMeasure, &why);
+  ASSERT_TRUE(agg.has_value()) << why.ToString();
   EXPECT_EQ(agg->count, 3u);  // 10.5, 2, 7.5 ("oops" skipped, 100 is RoleB)
   EXPECT_DOUBLE_EQ(agg->sum, 20.0);
   EXPECT_DOUBLE_EQ(*agg->min, 2.0);
@@ -52,22 +53,23 @@ TEST_F(AggregateTest, FailsOnTamperedVo) {
   Vo vo = sp_->RangeQuery(range, roles);
   Vo bad = vo;
   bad.entries.pop_back();
-  std::string error;
-  EXPECT_FALSE(VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                  range, roles, owner_->keys().universe, bad,
-                                  NumericValueMeasure, &error)
+  VerifyResult why;
+  EXPECT_FALSE(VerifyAndAggregateEx(owner_->keys().mvk, owner_->keys().domain,
+                                    range, roles, owner_->keys().universe, bad,
+                                    NumericValueMeasure, &why)
                    .has_value());
+  EXPECT_TRUE(Rejected(why, VerifyCode::kCoverageGap));
 }
 
 TEST_F(AggregateTest, EmptyRangeAggregatesToZero) {
   RoleSet roles = {"RoleB"};
   Box range{Point{10}, Point{15}};
   Vo vo = sp_->RangeQuery(range, roles);
-  std::string error;
-  auto agg = VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, vo,
-                                NumericValueMeasure, &error);
-  ASSERT_TRUE(agg.has_value()) << error;
+  VerifyResult why;
+  auto agg = VerifyAndAggregateEx(owner_->keys().mvk, owner_->keys().domain,
+                                  range, roles, owner_->keys().universe, vo,
+                                  NumericValueMeasure, &why);
+  ASSERT_TRUE(agg.has_value()) << why.ToString();
   EXPECT_EQ(agg->count, 0u);
   EXPECT_FALSE(agg->Avg().has_value());
 }
@@ -101,11 +103,9 @@ TEST_F(MultiJoinTest, ThreeWayJoin) {
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  std::string error;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 3, vo,
-                                &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyMultiJoinVoEx(
+      owner_->keys().mvk, owner_->keys().domain, range, roles,
+      owner_->keys().universe, 3, vo, &results)));
   // Key 1 joins in all three tables and is RoleA-accessible everywhere.
   // Key 5: t-table has no record. Key 9: s-table ok but r-table is RoleB.
   ASSERT_EQ(results.size(), 1u);
@@ -120,11 +120,9 @@ TEST_F(MultiJoinTest, AllRolesSeeMore) {
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  std::string error;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 3, vo,
-                                &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyMultiJoinVoEx(
+      owner_->keys().mvk, owner_->keys().domain, range, roles,
+      owner_->keys().universe, 3, vo, &results)));
   // Keys 1 and 9 join across all three tables.
   ASSERT_EQ(results.size(), 2u);
 }
@@ -137,9 +135,10 @@ TEST_F(MultiJoinTest, RejectsDroppedTuple) {
   MultiJoinVo bad = vo;
   ASSERT_FALSE(bad.tuples.empty());
   bad.tuples.pop_back();
-  EXPECT_FALSE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                 range, roles, owner_->keys().universe, 3, bad,
-                                 nullptr, nullptr));
+  EXPECT_TRUE(Rejected(
+      VerifyMultiJoinVoEx(owner_->keys().mvk, owner_->keys().domain, range,
+                          roles, owner_->keys().universe, 3, bad, nullptr),
+      VerifyCode::kCoverageGap));
 }
 
 TEST_F(MultiJoinTest, RejectsWrongArity) {
@@ -147,9 +146,12 @@ TEST_F(MultiJoinTest, RejectsWrongArity) {
   Box range{Point{0}, Point{15}};
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
-  EXPECT_FALSE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                 range, roles, owner_->keys().universe, 2, vo,
-                                 nullptr, nullptr));
+  // Three freshness stamps for a two-table join: rejected at the
+  // freshness gate, before the tuple arity is looked at.
+  EXPECT_TRUE(Rejected(
+      VerifyMultiJoinVoEx(owner_->keys().mvk, owner_->keys().domain, range,
+                          roles, owner_->keys().universe, 2, vo, nullptr),
+      VerifyCode::kStaleEpoch));
 }
 
 TEST_F(MultiJoinTest, TwoTableMultiJoinMatchesPairJoin) {
@@ -162,12 +164,13 @@ TEST_F(MultiJoinTest, TwoTableMultiJoinMatchesPairJoin) {
                            roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> mresults;
   std::vector<std::pair<Record, Record>> jresults;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 2, mvo,
-                                &mresults, nullptr));
-  ASSERT_TRUE(VerifyJoinVo(owner_->keys().mvk, owner_->keys().domain, range,
-                           roles, owner_->keys().universe, jvo, &jresults,
-                           nullptr));
+  ASSERT_TRUE(Verified(VerifyMultiJoinVoEx(
+      owner_->keys().mvk, owner_->keys().domain, range, roles,
+      owner_->keys().universe, 2, mvo, &mresults)));
+  ASSERT_TRUE(Verified(VerifyJoinVoEx(owner_->keys().mvk,
+                                      owner_->keys().domain, range, roles,
+                                      owner_->keys().universe, jvo,
+                                      &jresults)));
   EXPECT_EQ(mresults.size(), jresults.size());
 }
 

@@ -5,15 +5,20 @@
 // and the per-signature fallback path.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/serde.h"
+#include "core/continuous.h"
+#include "core/duplicates.h"
 #include "core/equality.h"
 #include "core/join_query.h"
+#include "core/kd_tree.h"
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
 #include "core/system.h"
+#include "core/thread_pool.h"
 
 namespace apqa::core {
 namespace {
@@ -165,6 +170,150 @@ TEST(ReplayTest, RejectionIsIdenticalOnBatchedAndPerSignaturePaths) {
   EXPECT_EQ(ok_batched.eq, ok_per_sig.eq);
   EXPECT_EQ(ok_per_sig.range, VerifyCode::kOk);
   EXPECT_EQ(ok_per_sig.join, VerifyCode::kOk);
+}
+
+// Freshness-first across all eight verifiers. Each case is a VO whose stamp
+// is stale at `own_epoch + 1` and that is *also* structurally broken (wrong
+// entry count, coverage gap or tampered signature). The freshness gate runs
+// before the structural walk, so the stale VO must fail kStaleEpoch with no
+// entry index, never with the failure behind it; at its own epoch the same
+// VO fails with `broken`, which shows the breakage is real.
+struct StaleBrokenCase {
+  const char* name;
+  std::uint64_t own_epoch;
+  VerifyCode broken;
+  std::function<VerifyResult(std::uint64_t expected_epoch, ThreadPool* pool)>
+      verify;
+};
+
+std::vector<StaleBrokenCase> StaleBrokenCases() {
+  FreshEnv& e = FreshEnv::Get();
+  Rng rng(41);
+  std::vector<StaleBrokenCase> cases;
+
+  Vo eq = MustDeser<Vo>(e.eq_bytes);
+  eq.entries.push_back(eq.entries[0]);
+  cases.push_back({"equality", eq.stamp.epoch, VerifyCode::kWrongEntryCount,
+                   [&e, eq](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyEqualityVoEx(e.mvk, e.domain, Point{1},
+                                               e.user, e.universe, eq, nullptr,
+                                               nullptr, false, pool, epoch);
+                   }});
+
+  Vo range = MustDeser<Vo>(e.range_bytes);
+  range.entries.pop_back();
+  cases.push_back({"range", range.stamp.epoch, VerifyCode::kCoverageGap,
+                   [&e, range](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyRangeVoEx(e.mvk, e.domain, e.range, e.user,
+                                            e.universe, range, nullptr, false,
+                                            pool, epoch);
+                   }});
+
+  JoinVo join = MustDeser<JoinVo>(e.join_bytes);
+  EXPECT_FALSE(join.pairs.empty());
+  join.pairs[0].r.value += "-tampered";
+  cases.push_back({"join", join.r_stamp.epoch, VerifyCode::kBadSignature,
+                   [&e, join](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyJoinVoEx(e.mvk, e.domain, e.range, e.user,
+                                           e.universe, join, nullptr, false,
+                                           pool, epoch);
+                   }});
+
+  MultiJoinVo multi = BuildMultiJoinVo({&*e.tree_r, &*e.tree_s}, e.mvk,
+                                       e.range, e.user, e.universe, &rng);
+  multi.aps.pop_back();
+  cases.push_back({"multi-join", multi.stamps[0].epoch,
+                   VerifyCode::kWrongEntryCount,
+                   [&e, multi](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyMultiJoinVoEx(e.mvk, e.domain, e.range,
+                                                e.user, e.universe, 2, multi,
+                                                nullptr, pool, epoch);
+                   }});
+
+  std::vector<Record> records = {
+      Record{Point{1}, "a", Policy::Parse("RoleA")},
+      Record{Point{1}, "b", Policy::Parse("RoleA")},
+      Record{Point{5}, "c", Policy::Parse("RoleB")},
+  };
+  KdTree kd_tree = KdTree::Build(e.mvk, e.sk, e.domain,
+                                 {records[0], records[2]}, &rng);
+  KdVo kd = BuildKdRangeVo(kd_tree, e.mvk, e.range, e.user, e.universe, &rng);
+  EXPECT_FALSE(kd.boxes.empty() && kd.leaves.empty());
+  if (!kd.boxes.empty()) {
+    kd.boxes.pop_back();
+  } else {
+    kd.leaves.pop_back();
+  }
+  cases.push_back({"kd", kd.stamp.epoch, VerifyCode::kCoverageGap,
+                   [&e, kd](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyKdRangeVoEx(e.mvk, e.domain, e.range, e.user,
+                                              e.universe, kd, nullptr, pool,
+                                              epoch);
+                   }});
+
+  DupGridTree dup_tree = DupGridTree::Build(e.mvk, e.sk, e.domain, records,
+                                            &rng);
+  DupVo dup = BuildDupRangeVo(dup_tree, e.mvk, e.range, e.user, e.universe,
+                              &rng);
+  EXPECT_GE(dup.results.size(), 2u);
+  dup.results.erase(dup.results.begin());
+  cases.push_back({"dup", dup.stamp.epoch, VerifyCode::kDuplicateBookkeeping,
+                   [&e, dup](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyDupRangeVoEx(e.mvk, e.domain, e.range,
+                                               e.user, e.universe, dup,
+                                               nullptr, pool, epoch);
+                   }});
+
+  ContinuousAds ads = ContinuousAds::Build(
+      e.mvk, e.sk,
+      {{100, "v100", Policy::Parse("RoleA")},
+       {250, "v250", Policy::Parse("RoleB")}},
+      &rng);
+  ContinuousVo crange = BuildContinuousRangeVo(ads, e.mvk, 50, 500, e.user,
+                                               e.universe, &rng);
+  ContinuousVo cequal =
+      BuildContinuousEqualityVo(ads, e.mvk, 100, e.user, e.universe, &rng);
+  EXPECT_FALSE(crange.results.empty() || crange.gaps.empty());
+  cequal.gaps.push_back(crange.gaps[0]);
+  crange.results.clear();
+  cases.push_back({"continuous-range", crange.stamp.epoch,
+                   VerifyCode::kCoverageGap,
+                   [&e, crange](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyContinuousRangeVoEx(e.mvk, 50, 500, e.user,
+                                                      e.universe, crange,
+                                                      nullptr, pool, epoch);
+                   }});
+  cases.push_back({"continuous-equality", cequal.stamp.epoch,
+                   VerifyCode::kWrongEntryCount,
+                   [&e, cequal](std::uint64_t epoch, ThreadPool* pool) {
+                     return VerifyContinuousEqualityVoEx(e.mvk, 100, e.user,
+                                                         e.universe, cequal,
+                                                         nullptr, pool, epoch);
+                   }});
+  return cases;
+}
+
+TEST(ReplayTest, StaleEpochPrecedesStructuralFailureOnEveryVerifier) {
+  std::vector<StaleBrokenCase> cases = StaleBrokenCases();
+  ASSERT_EQ(cases.size(), 8u);
+  ThreadPool pool(2);
+  for (const StaleBrokenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    VerifyResult own = c.verify(c.own_epoch, nullptr);
+    EXPECT_EQ(own.code, c.broken) << own.ToString();
+
+    const std::uint64_t stale = c.own_epoch + 1;
+    std::vector<VerifyResult> verdicts = {c.verify(stale, nullptr),
+                                          c.verify(stale, &pool)};
+    {
+      ScopedPerSignatureVerify per_signature;
+      verdicts.push_back(c.verify(stale, nullptr));
+    }
+    for (const VerifyResult& r : verdicts) {
+      EXPECT_EQ(r.code, VerifyCode::kStaleEpoch) << r.ToString();
+      EXPECT_EQ(r.entry_index, -1) << r.ToString();
+    }
+  }
 }
 
 TEST(ReplayTest, FreshVoAtTheNewEpochVerifies) {

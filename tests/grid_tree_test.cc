@@ -4,6 +4,7 @@
 
 #include "core/range_query.h"
 #include "core/system.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -117,10 +118,8 @@ TEST_F(GridTreeTest, SerializationRoundTripServesQueries) {
   Rng qrng(5);
   Vo vo = BuildRangeVo(*back, mvk_, range, roles, universe_, &qrng);
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyRangeVo(mvk_, back->domain(), range, roles, universe_, vo,
-                            &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyRangeVoEx(mvk_, back->domain(), range, roles,
+                                       universe_, vo, &results)));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].value, "a");
 }

@@ -4,6 +4,7 @@
 
 #include "abs/abs.h"
 #include "core/kd_tree.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -83,10 +84,8 @@ TEST_F(KdTreeTest, RangeQueryRoundTrip) {
   Box range{Point{3}, Point{22}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyKdRangeVoEx(mvk_, domain, range, user,
+                                         universe_, vo, &results)));
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{5, 9, 17}));
@@ -100,10 +99,8 @@ TEST_F(KdTreeTest, RangeRejectsDroppedEntry) {
   RoleSet user = {"RoleA"};
   Box range{Point{0}, Point{31}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              nullptr, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyKdRangeVoEx(mvk_, domain, range, user,
+                                         universe_, vo, nullptr)));
   KdVo bad = vo;
   if (!bad.boxes.empty()) {
     bad.boxes.pop_back();
@@ -112,8 +109,9 @@ TEST_F(KdTreeTest, RangeRejectsDroppedEntry) {
   } else {
     bad.results.pop_back();
   }
-  EXPECT_FALSE(
-      VerifyKdRangeVo(mvk_, domain, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(VerifyKdRangeVoEx(mvk_, domain, range, user, universe_,
+                                         bad, nullptr),
+                       VerifyCode::kCoverageGap));
 }
 
 TEST_F(KdTreeTest, RangeRejectsTamperedLeafRegion) {
@@ -133,8 +131,9 @@ TEST_F(KdTreeTest, RangeRejectsTamperedLeafRegion) {
   } else {
     bad.results[0].region.lo[0] -= 1;
   }
-  EXPECT_FALSE(
-      VerifyKdRangeVo(mvk_, domain, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(VerifyKdRangeVoEx(mvk_, domain, range, user, universe_,
+                                         bad, nullptr),
+                       VerifyCode::kOverlap, 2));
 }
 
 TEST_F(KdTreeTest, EmptyDatabaseStillVerifies) {
@@ -144,10 +143,8 @@ TEST_F(KdTreeTest, EmptyDatabaseStillVerifies) {
   Box range{Point{2}, Point{10}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyKdRangeVoEx(mvk_, domain, range, user,
+                                         universe_, vo, &results)));
   EXPECT_TRUE(results.empty());
 }
 
@@ -170,10 +167,8 @@ TEST_F(KdTreeTest, DenseClusteredBuildRegression) {
   Box range{Point{0}, Point{31}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyKdRangeVoEx(mvk_, domain, range, user,
+                                         universe_, vo, &results)));
   EXPECT_EQ(results.size(), 16u);
 }
 
@@ -190,10 +185,8 @@ TEST_F(KdTreeTest, TwoDimensionalBuild) {
   Box range{Point{0, 0}, Point{7, 7}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(Verified(VerifyKdRangeVoEx(mvk_, domain, range, user,
+                                         universe_, vo, &results)));
   std::set<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a", "c"}));

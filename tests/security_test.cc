@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "verify_assert.h"
 
 namespace apqa::core {
 namespace {
@@ -80,8 +81,8 @@ TEST_F(ZeroKnowledgeTest, RealAndIdealDatabasesProduceSameVoShapes) {
     // Both verify for their respective users.
     User u_real(owner_real.keys(), owner_real.EnrollUser(roles));
     User u_ideal(owner_ideal.keys(), owner_ideal.EnrollUser(roles));
-    EXPECT_TRUE(u_real.VerifyRange(range, vo_real, nullptr, nullptr));
-    EXPECT_TRUE(u_ideal.VerifyRange(range, vo_ideal, nullptr, nullptr));
+    EXPECT_TRUE(Verified(u_real.VerifyRange(range, vo_real, nullptr)));
+    EXPECT_TRUE(Verified(u_ideal.VerifyRange(range, vo_ideal, nullptr)));
   }
 }
 
@@ -139,9 +140,11 @@ TEST_F(UnforgeabilityTest, CannotPresentAccessibleRecordAsHidden) {
   Box range{{0}, {15}};
   Vo vo = sp_->RangeQuery(range, roles);
   Vo forged;
+  std::ptrdiff_t faked = -1;
   for (const auto& e : vo.entries) {
     if (const auto* res = std::get_if<ResultEntry>(&e);
         res != nullptr && res->key == Point{2}) {
+      faked = static_cast<std::ptrdiff_t>(forged.entries.size());
       InaccessibleRecordEntry fake;
       fake.key = res->key;
       fake.value_hash = crypto::Sha256::Hash(res->value.data(),
@@ -152,8 +155,10 @@ TEST_F(UnforgeabilityTest, CannotPresentAccessibleRecordAsHidden) {
     }
     forged.entries.push_back(e);
   }
+  ASSERT_GE(faked, 0);
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(user.VerifyRange(range, forged, nullptr),
+                       VerifyCode::kBadSignature, faked));
 }
 
 TEST_F(UnforgeabilityTest, CannotReplayVoForDifferentRange) {
@@ -161,12 +166,14 @@ TEST_F(UnforgeabilityTest, CannotReplayVoForDifferentRange) {
   Box range{{0}, {7}};
   Vo vo = sp_->RangeQuery(range, roles);
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  ASSERT_TRUE(user.VerifyRange(range, vo, nullptr, nullptr));
+  ASSERT_TRUE(Verified(user.VerifyRange(range, vo, nullptr)));
   // Same VO against a wider range: coverage fails (record 11 would be
   // silently omitted).
-  EXPECT_FALSE(user.VerifyRange(Box{{0}, {15}}, vo, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(user.VerifyRange(Box{{0}, {15}}, vo, nullptr),
+                       VerifyCode::kCoverageGap));
   // And against a narrower range: out-of-range regions.
-  EXPECT_FALSE(user.VerifyRange(Box{{0}, {5}}, vo, nullptr, nullptr));
+  EXPECT_TRUE(Rejected(user.VerifyRange(Box{{0}, {5}}, vo, nullptr),
+                       VerifyCode::kRegionOutsideRange, 1));
 }
 
 TEST_F(UnforgeabilityTest, CannotSpliceEntriesAcrossUsers) {
@@ -175,7 +182,9 @@ TEST_F(UnforgeabilityTest, CannotSpliceEntriesAcrossUsers) {
   Box range{{0}, {15}};
   Vo vo_b = sp_->RangeQuery(range, {"RoleB"});
   User user_a(owner_->keys(), owner_->EnrollUser({"RoleA"}));
-  EXPECT_FALSE(user_a.VerifyRange(range, vo_b, nullptr, nullptr));
+  // The first RoleB-only result is rejected before any APS signature.
+  EXPECT_TRUE(Rejected(user_a.VerifyRange(range, vo_b, nullptr),
+                       VerifyCode::kPolicyNotSatisfied, 0));
 }
 
 TEST_F(UnforgeabilityTest, CannotSubstituteValueUnderSameKey) {
@@ -186,11 +195,13 @@ TEST_F(UnforgeabilityTest, CannotSubstituteValueUnderSameKey) {
   Vo vo = sp_->RangeQuery(range, roles);
   Vo forged = vo;
   ResultEntry* first = nullptr;
+  std::ptrdiff_t first_index = -1;
   bool swapped = false;
-  for (auto& e : forged.entries) {
-    if (auto* res = std::get_if<ResultEntry>(&e)) {
+  for (std::size_t i = 0; i < forged.entries.size(); ++i) {
+    if (auto* res = std::get_if<ResultEntry>(&forged.entries[i])) {
       if (first == nullptr) {
         first = res;
+        first_index = static_cast<std::ptrdiff_t>(i);
       } else {
         std::swap(first->value, res->value);
         swapped = true;
@@ -200,7 +211,9 @@ TEST_F(UnforgeabilityTest, CannotSubstituteValueUnderSameKey) {
   }
   ASSERT_TRUE(swapped);
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr, nullptr));
+  // The lowest failing entry is reported: the first of the two swapped.
+  EXPECT_TRUE(Rejected(user.VerifyRange(range, forged, nullptr),
+                       VerifyCode::kBadSignature, first_index));
 }
 
 }  // namespace
