@@ -19,7 +19,9 @@
 #      notice when the clang tools are not installed — the default
 #      toolchain here is GCC)
 #   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct)
-#   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz)
+#   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz,
+#      plus db_test, whose corrupted-import regressions feed a rewritten ADS
+#      bundle to the SP's VO builders)
 #   6. TSan build of the thread pool and the parallel SP/ADS paths; TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
 #      (rank-violation detection + the service rank-order regression) with
@@ -134,12 +136,13 @@ done
 echo "=== build (ASan) ==="
 cmake -B build-asan -S . -DAPQA_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target \
-  fault_injection_test serde_test fuzz_vo_deserialize
+  fault_injection_test serde_test fuzz_vo_deserialize db_test
 
 echo "=== hostile-input tests under ASan ==="
 ./build-asan/tests/serde_test --gtest_brief=1
 ./build-asan/tests/fault_injection_test --gtest_brief=1
 ./build-asan/tests/fuzz_vo_deserialize
+./build-asan/tests/db_test --gtest_brief=1
 
 echo "=== build (TSan) ==="
 cmake -B build-tsan -S . -DAPQA_SANITIZE=thread >/dev/null

@@ -1,6 +1,7 @@
 #include "core/app_signature.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace apqa::core {
 
@@ -80,12 +81,17 @@ std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
   return Abs::Sign(mvk, sk_do, BoxMessage(box), node_policy, rng, epoch);
 }
 
-std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
-                                   const Policy& original_policy,
-                                   const std::vector<std::uint8_t>& message,
-                                   const policy::RoleSet& lacked_roles,
-                                   Rng* rng) {
-  return Abs::Relax(mvk, app, original_policy, message, lacked_roles, rng);
+void RelaxAll(const VerifyKey& mvk, const policy::RoleSet& lacked,
+              const std::vector<RelaxJob>& jobs, Rng* rng, ThreadPool* pool) {
+  ThreadPool::SeededFanOut(pool, jobs.size(), rng, [&](std::size_t i, Rng* r) {
+    const RelaxJob& job = jobs[i];
+    auto aps = Abs::Relax(mvk, *job.app, *job.policy, job.message, lacked, r);
+    if (!aps.has_value()) {
+      throw std::runtime_error(
+          "ABS.Relax failed: stored signature does not fit its policy");
+    }
+    *job.aps = std::move(*aps);
+  });
 }
 
 void EpochStamp::Serialize(common::ByteWriter* w) const {

@@ -13,11 +13,14 @@
 #ifndef APQA_CORE_APP_SIGNATURE_H_
 #define APQA_CORE_APP_SIGNATURE_H_
 
+#include <deque>
+#include <iterator>
 #include <optional>
 #include <vector>
 
 #include "abs/abs.h"
 #include "core/record.h"
+#include "core/thread_pool.h"
 #include "core/verify_result.h"
 #include "crypto/sha256.h"
 
@@ -69,13 +72,32 @@ std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
                                  const Box& box, const Policy& node_policy,
                                  Rng* rng, std::uint64_t epoch = 0);
 
-// Derives the APS signature for an inaccessible record/node with respect to
-// a user's super policy roles (𝔸 \ 𝒜).
-std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
-                                   const Policy& original_policy,
-                                   const std::vector<std::uint8_t>& message,
-                                   const policy::RoleSet& lacked_roles,
-                                   Rng* rng);
+// One ABS.Relax of a stored APP signature into a VO entry's APS slot. The
+// pointers must stay valid until RelaxAll returns.
+struct RelaxJob {
+  const Signature* app;               // the stored APP signature
+  const Policy* policy;               // the policy `app` was signed under
+  std::vector<std::uint8_t> message;  // the message `app` signs
+  Signature* aps;                     // receives the APS signature
+};
+
+// The SP's ABS.Relax stage (Algorithm 2, parallelized per §8.2): relaxes
+// every job to the super policy over `lacked` (see SuperPolicyRoles).
+// Fans out over ThreadPool::SeededFanOut, so with a null or one-thread
+// pool, or at most one job, it runs serially on `rng` in job order. Throws
+// std::runtime_error when a stored signature does not fit its policy (a
+// corrupted ADS), for which Relax derives nothing.
+void RelaxAll(const VerifyKey& mvk, const policy::RoleSet& lacked,
+              const std::vector<RelaxJob>& jobs, Rng* rng, ThreadPool* pool);
+
+// Builders stage the entries whose APS slots RelaxAll fills in a deque,
+// where appending never moves an entry already staged, and move them onto
+// the VO afterwards.
+template <typename Entry>
+void MoveAppend(std::deque<Entry>* staged, std::vector<Entry>* out) {
+  out->insert(out->end(), std::make_move_iterator(staged->begin()),
+              std::make_move_iterator(staged->end()));
+}
 
 // ---------------------------------------------------------------------------
 // Epoch freshness attestation.

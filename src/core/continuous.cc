@@ -1,6 +1,7 @@
 #include "core/continuous.h"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 
 #include "core/parallel_verify.h"
@@ -102,9 +103,11 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
                                     std::uint64_t beta,
                                     const RoleSet& user_roles,
                                     const RoleSet& universe, Rng* rng) {
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   ContinuousVo vo;
   vo.stamp = ads.stamp();
+  std::deque<ContinuousVo::InaccessibleEntry> inaccessible;
+  std::deque<ContinuousVo::GapEntry> gaps;
+  std::vector<RelaxJob> jobs;
   for (const auto& sr : ads.records()) {
     if (sr.record.key < alpha || sr.record.key > beta) continue;
     if (sr.record.policy.Evaluate(user_roles)) {
@@ -113,24 +116,28 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
     } else {
       Digest vh = crypto::Sha256::Hash(sr.record.value.data(),
                                        sr.record.value.size());
-      auto msg = ContinuousRecordMessageFromHash(sr.record.key, vh);
-      auto aps = abs::Abs::Relax(mvk, sr.sig, sr.record.policy, msg, lacked,
-                                 rng);
-      vo.inaccessible.push_back(
-          ContinuousVo::InaccessibleEntry{sr.record.key, vh, std::move(*aps)});
+      auto& e = inaccessible.emplace_back(
+          ContinuousVo::InaccessibleEntry{sr.record.key, vh, {}});
+      jobs.push_back(RelaxJob{&sr.sig, &sr.record.policy,
+                              ContinuousRecordMessageFromHash(sr.record.key, vh),
+                              &e.aps_sig});
     }
   }
-  Policy pseudo = Policy::Var(kPseudoRole);
+  const Policy pseudo = Policy::Var(kPseudoRole);
   for (const auto& sg : ads.gaps()) {
     // Open interval (lo, hi) covers keys lo+1 .. hi-1; adjacent keys leave
     // an empty gap that covers nothing. Include a gap iff it is non-empty
     // and hi-1 >= alpha and lo+1 <= beta.
     if (sg.gap.hi - sg.gap.lo < 2) continue;
     if (sg.gap.hi <= alpha || sg.gap.lo >= beta) continue;
-    auto aps =
-        abs::Abs::Relax(mvk, sg.sig, pseudo, GapMessage(sg.gap), lacked, rng);
-    vo.gaps.push_back(ContinuousVo::GapEntry{sg.gap, std::move(*aps)});
+    auto& e = gaps.emplace_back(ContinuousVo::GapEntry{sg.gap, {}});
+    jobs.push_back(
+        RelaxJob{&sg.sig, &pseudo, GapMessage(sg.gap), &e.aps_sig});
   }
+  RelaxAll(mvk, SuperPolicyRoles(universe, user_roles), jobs, rng,
+           /*pool=*/nullptr);
+  MoveAppend(&inaccessible, &vo.inaccessible);
+  MoveAppend(&gaps, &vo.gaps);
   return vo;
 }
 
@@ -314,35 +321,10 @@ ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
                                        const VerifyKey& mvk, std::uint64_t key,
                                        const RoleSet& user_roles,
                                        const RoleSet& universe, Rng* rng) {
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  ContinuousVo vo;
-  vo.stamp = ads.stamp();
-  for (const auto& sr : ads.records()) {
-    if (sr.record.key != key) continue;
-    if (sr.record.policy.Evaluate(user_roles)) {
-      vo.results.push_back(ContinuousVo::ResultEntry{
-          sr.record.key, sr.record.value, sr.record.policy, sr.sig});
-    } else {
-      Digest vh = crypto::Sha256::Hash(sr.record.value.data(),
-                                       sr.record.value.size());
-      auto msg = ContinuousRecordMessageFromHash(sr.record.key, vh);
-      auto aps =
-          abs::Abs::Relax(mvk, sr.sig, sr.record.policy, msg, lacked, rng);
-      vo.inaccessible.push_back(
-          ContinuousVo::InaccessibleEntry{sr.record.key, vh, std::move(*aps)});
-    }
-    return vo;
-  }
-  Policy pseudo = Policy::Var(kPseudoRole);
-  for (const auto& sg : ads.gaps()) {
-    if (sg.gap.lo < key && key < sg.gap.hi) {
-      auto aps =
-          abs::Abs::Relax(mvk, sg.sig, pseudo, GapMessage(sg.gap), lacked, rng);
-      vo.gaps.push_back(ContinuousVo::GapEntry{sg.gap, std::move(*aps)});
-      return vo;
-    }
-  }
-  return vo;  // key coincides with a sentinel; empty VO will fail verification
+  // [key, key] selects the record at `key`, or else the one gap strictly
+  // around it; at a sentinel key it selects nothing, and the empty VO fails
+  // verification.
+  return BuildContinuousRangeVo(ads, mvk, key, key, user_roles, universe, rng);
 }
 
 VerifyResult VerifyContinuousEqualityVoEx(

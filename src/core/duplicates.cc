@@ -263,6 +263,22 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
   RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   DupVo vo;
   vo.stamp = tree.stamp();
+  std::deque<DupVo::DupInaccessibleEntry> inaccessible;
+  std::deque<InaccessibleBoxEntry> boxes;
+  std::vector<RelaxJob> jobs;
+  // One APS per duplicate member; the member count dup_num is disclosed
+  // (non-ZK by design).
+  auto stage_member = [&](const DupGridTree::DupEntry& e,
+                          std::uint32_t dup_num) {
+    Digest vh =
+        crypto::Sha256::Hash(e.record.value.data(), e.record.value.size());
+    auto& out = inaccessible.emplace_back(
+        DupVo::DupInaccessibleEntry{e.record.key, vh, dup_num, e.dup_id, {}});
+    jobs.push_back(RelaxJob{
+        &e.sig, &e.record.policy,
+        DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id),
+        &out.aps_sig});
+  };
   std::deque<DupGridTree::NodeId> queue{tree.Root()};
   while (!queue.empty()) {
     DupGridTree::NodeId id = queue.front();
@@ -275,23 +291,13 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
     }
     if (!node.policy.Evaluate(user_roles)) {
       if (node.is_leaf) {
-        // Whole duplicate group inaccessible: one APS per member (the
-        // member count dup_num is disclosed — non-ZK by design).
+        // Whole duplicate group inaccessible.
         std::uint32_t dup_num = static_cast<std::uint32_t>(node.dups.size());
-        for (const auto& e : node.dups) {
-          Digest vh = crypto::Sha256::Hash(e.record.value.data(),
-                                           e.record.value.size());
-          auto msg =
-              DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
-          auto aps =
-              abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
-          vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
-              e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
-        }
+        for (const auto& e : node.dups) stage_member(e, dup_num);
       } else {
-        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy,
-                                   BoxMessage(node.box), lacked, rng);
-        vo.boxes.push_back(InaccessibleBoxEntry{node.box, std::move(*aps)});
+        auto& e = boxes.emplace_back(InaccessibleBoxEntry{node.box, {}});
+        jobs.push_back(RelaxJob{&node.sig, &node.policy, BoxMessage(node.box),
+                                &e.aps_sig});
       }
       continue;
     }
@@ -308,17 +314,13 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
                                                    e.record.policy, dup_num,
                                                    e.dup_id, e.sig});
       } else {
-        Digest vh = crypto::Sha256::Hash(e.record.value.data(),
-                                         e.record.value.size());
-        auto msg =
-            DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
-        auto aps =
-            abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
-        vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
-            e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
+        stage_member(e, dup_num);
       }
     }
   }
+  RelaxAll(mvk, lacked, jobs, rng, /*pool=*/nullptr);
+  MoveAppend(&inaccessible, &vo.inaccessible);
+  MoveAppend(&boxes, &vo.boxes);
   return vo;
 }
 

@@ -1,6 +1,7 @@
 #include "core/equality.h"
 
 #include "core/parallel_verify.h"
+#include "core/range_query.h"
 
 namespace apqa::core {
 
@@ -15,12 +16,12 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
                                      leaf.record.policy, leaf.sig});
     return vo;
   }
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Digest vh =
-      crypto::Sha256::Hash(leaf.record.value.data(), leaf.record.value.size());
-  auto msg = RecordMessageFromHash(leaf.record.key, vh);
-  auto aps = DeriveAps(mvk, leaf.sig, leaf.policy, msg, lacked, rng);
-  vo.entries.push_back(InaccessibleRecordEntry{leaf.record.key, vh, *aps});
+  std::deque<VoEntry> staged;
+  std::vector<RelaxJob> jobs;
+  StageInaccessible(leaf, &staged, &jobs);
+  RelaxAll(mvk, SuperPolicyRoles(universe, user_roles), jobs, rng,
+           /*pool=*/nullptr);
+  MoveAppend(&staged, &vo.entries);
   return vo;
 }
 

@@ -40,11 +40,7 @@ JoinVo BuildJoinVo(const GridTree& tree_r, const GridTree& tree_s,
   JoinVo vo;
   vo.r_stamp = tree_r.stamp();
   vo.s_stamp = tree_s.stamp();
-  struct RelaxJob {
-    const GridTree* tree;
-    GridTree::NodeId id;
-    bool s_side;
-  };
+  std::deque<VoEntry> r_aps, s_aps;
   std::vector<RelaxJob> jobs;
 
   std::deque<std::pair<GridTree::NodeId, GridTree::NodeId>> queue;
@@ -59,13 +55,13 @@ JoinVo BuildJoinVo(const GridTree& tree_r, const GridTree& tree_s,
       continue;
     }
     if (!node_r.policy.Evaluate(user_roles)) {
-      jobs.push_back(RelaxJob{&tree_r, nr, /*s_side=*/false});
+      StageInaccessible(node_r, &r_aps, &jobs);
       continue;
     }
     GridTree::NodeId ns_small = DescendCovering(tree_s, ns, node_r.box);
     const GridTree::Node& node_s = tree_s.GetNode(ns_small);
     if (!node_s.policy.Evaluate(user_roles)) {
-      jobs.push_back(RelaxJob{&tree_s, ns_small, /*s_side=*/true});
+      StageInaccessible(node_s, &s_aps, &jobs);
       continue;
     }
     if (tree_r.IsLeafLevel(nr)) {
@@ -83,42 +79,9 @@ JoinVo BuildJoinVo(const GridTree& tree_r, const GridTree& tree_s,
     }
   }
 
-  // Derive APS signatures for all blocking nodes.
-  std::vector<VoEntry> relaxed(jobs.size());
-  std::vector<bool> s_side(jobs.size());
-  auto relax_one = [&](std::size_t i, Rng* r) {
-    const RelaxJob& job = jobs[i];
-    const GridTree::Node& node = job.tree->GetNode(job.id);
-    s_side[i] = job.s_side;
-    if (node.is_leaf) {
-      Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                       node.record.value.size());
-      auto msg = RecordMessageFromHash(node.record.key, vh);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleRecordEntry{node.record.key, vh, std::move(*aps)};
-    } else {
-      auto msg = BoxMessage(node.box);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleBoxEntry{node.box, std::move(*aps)};
-    }
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && jobs.size() > 1) {
-    std::vector<Rng> rngs;
-    for (int t = 0; t < pool->thread_count(); ++t) rngs.emplace_back(rng->NextU64());
-    std::atomic<std::size_t> next{0};
-    pool->ParallelFor(pool->thread_count(), [&](std::size_t t) {
-      for (;;) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= jobs.size()) break;
-        relax_one(i, &rngs[t]);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) relax_one(i, rng);
-  }
-  for (std::size_t i = 0; i < relaxed.size(); ++i) {
-    (s_side[i] ? vo.s_aps : vo.r_aps).push_back(std::move(relaxed[i]));
-  }
+  RelaxAll(mvk, lacked, jobs, rng, pool);
+  MoveAppend(&r_aps, &vo.r_aps);
+  MoveAppend(&s_aps, &vo.s_aps);
   return vo;
 }
 
@@ -282,21 +245,8 @@ MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
   vo.aps.resize(trees.size());
   for (const GridTree* t : trees) vo.stamps.push_back(t->stamp());
 
-  auto emit_aps = [&](const GridTree& tree, GridTree::NodeId id,
-                      std::vector<VoEntry>* out) {
-    const GridTree::Node& node = tree.GetNode(id);
-    if (node.is_leaf) {
-      Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                       node.record.value.size());
-      auto msg = RecordMessageFromHash(node.record.key, vh);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, rng);
-      out->push_back(InaccessibleRecordEntry{node.record.key, vh, *aps});
-    } else {
-      auto aps = DeriveAps(mvk, node.sig, node.policy, BoxMessage(node.box),
-                           lacked, rng);
-      out->push_back(InaccessibleBoxEntry{node.box, *aps});
-    }
-  };
+  std::vector<std::deque<VoEntry>> aps(trees.size());
+  std::vector<RelaxJob> jobs;
 
   // BFS over the first tree; companions track the covering node per table.
   struct Item {
@@ -322,7 +272,7 @@ MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
       continue;
     }
     if (!lead.policy.Evaluate(user_roles)) {
-      emit_aps(*trees[0], item.lead, &vo.aps[0]);
+      StageInaccessible(lead, &aps[0], &jobs);
       continue;
     }
     // Descend every companion to the node covering the lead box; the first
@@ -332,8 +282,9 @@ MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
     for (std::size_t i = 1; i < trees.size() && !blocked; ++i) {
       GridTree::NodeId small =
           DescendCovering(*trees[i], item.companions[i - 1], lead.box);
-      if (!trees[i]->GetNode(small).policy.Evaluate(user_roles)) {
-        emit_aps(*trees[i], small, &vo.aps[i]);
+      const GridTree::Node& node = trees[i]->GetNode(small);
+      if (!node.policy.Evaluate(user_roles)) {
+        StageInaccessible(node, &aps[i], &jobs);
         blocked = true;
       }
       next_companions.push_back(small);
@@ -354,6 +305,10 @@ MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
         queue.push_back(Item{c, next_companions});
       }
     }
+  }
+  RelaxAll(mvk, lacked, jobs, rng, /*pool=*/nullptr);
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    MoveAppend(&aps[i], &vo.aps[i]);
   }
   return vo;
 }

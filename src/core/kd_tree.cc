@@ -276,6 +276,9 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
   RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   KdVo vo;
   vo.stamp = tree.stamp();
+  std::deque<KdInaccessibleLeafEntry> leaves;
+  std::deque<InaccessibleBoxEntry> boxes;
+  std::vector<RelaxJob> jobs;
   std::deque<int> queue{tree.root()};
   while (!queue.empty()) {
     int idx = queue.front();
@@ -298,11 +301,12 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
       } else {
         Digest vh = crypto::Sha256::Hash(node.record.value.data(),
                                          node.record.value.size());
-        auto msg = KdLeafMessageFromHash(node.region, node.record.key, vh);
-        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
-        vo.leaves.push_back(
-            KdInaccessibleLeafEntry{node.region, node.record.key, vh,
-                                    std::move(*aps)});
+        auto& e = leaves.emplace_back(
+            KdInaccessibleLeafEntry{node.region, node.record.key, vh, {}});
+        jobs.push_back(RelaxJob{
+            &node.sig, &node.policy,
+            KdLeafMessageFromHash(node.region, node.record.key, vh),
+            &e.aps_sig});
       }
       continue;
     }
@@ -310,11 +314,14 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
       queue.push_back(node.left);
       queue.push_back(node.right);
     } else {
-      auto msg = BoxMessage(node.region);
-      auto aps = abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
-      vo.boxes.push_back(InaccessibleBoxEntry{node.region, std::move(*aps)});
+      auto& e = boxes.emplace_back(InaccessibleBoxEntry{node.region, {}});
+      jobs.push_back(RelaxJob{&node.sig, &node.policy,
+                              BoxMessage(node.region), &e.aps_sig});
     }
   }
+  RelaxAll(mvk, lacked, jobs, rng, /*pool=*/nullptr);
+  MoveAppend(&leaves, &vo.leaves);
+  MoveAppend(&boxes, &vo.boxes);
   return vo;
 }
 

@@ -14,16 +14,32 @@ Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
                                 pool);
 }
 
+void StageInaccessible(const GridTree::Node& node, std::deque<VoEntry>* staged,
+                       std::vector<RelaxJob>* jobs) {
+  if (node.is_leaf) {
+    Digest vh = crypto::Sha256::Hash(node.record.value.data(),
+                                     node.record.value.size());
+    auto& e = std::get<InaccessibleRecordEntry>(staged->emplace_back(
+        InaccessibleRecordEntry{node.record.key, vh, {}}));
+    jobs->push_back(RelaxJob{&node.sig, &node.policy,
+                             RecordMessageFromHash(node.record.key, vh),
+                             &e.aps_sig});
+  } else {
+    auto& e = std::get<InaccessibleBoxEntry>(
+        staged->emplace_back(InaccessibleBoxEntry{node.box, {}}));
+    jobs->push_back(
+        RelaxJob{&node.sig, &node.policy, BoxMessage(node.box), &e.aps_sig});
+  }
+}
+
 Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
                           const Box& range, const RoleSet& user_roles,
                           const RoleSet& lacked, Rng* rng, ThreadPool* pool) {
-
-  // Phase 1: BFS to find result leaves and inaccessible covers.
-  struct RelaxJob {
-    GridTree::NodeId id;
-  };
+  // BFS to find result leaves and inaccessible covers; the covers follow
+  // the results in the VO.
   Vo vo;
   vo.stamp = tree.stamp();
+  std::deque<VoEntry> relaxed;
   std::vector<RelaxJob> jobs;
   std::deque<GridTree::NodeId> queue;
   queue.push_back(tree.Root());
@@ -46,42 +62,11 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
         for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
       }
     } else {
-      jobs.push_back(RelaxJob{id});
+      StageInaccessible(node, &relaxed, &jobs);
     }
   }
-
-  // Phase 2: derive APS signatures (ABS.Relax), independently per node.
-  std::vector<VoEntry> relaxed(jobs.size());
-  auto relax_one = [&](std::size_t i, Rng* r) {
-    const GridTree::Node& node = tree.GetNode(jobs[i].id);
-    std::vector<std::uint8_t> msg;
-    if (node.is_leaf) {
-      Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                       node.record.value.size());
-      msg = RecordMessageFromHash(node.record.key, vh);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleRecordEntry{node.record.key, vh, std::move(*aps)};
-    } else {
-      msg = BoxMessage(node.box);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleBoxEntry{node.box, std::move(*aps)};
-    }
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && jobs.size() > 1) {
-    std::vector<Rng> rngs;
-    for (int t = 0; t < pool->thread_count(); ++t) rngs.emplace_back(rng->NextU64());
-    std::atomic<std::size_t> next{0};
-    pool->ParallelFor(pool->thread_count(), [&](std::size_t t) {
-      for (;;) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= jobs.size()) break;
-        relax_one(i, &rngs[t]);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) relax_one(i, rng);
-  }
-  for (auto& e : relaxed) vo.entries.push_back(std::move(e));
+  RelaxAll(mvk, lacked, jobs, rng, pool);
+  MoveAppend(&relaxed, &vo.entries);
   return vo;
 }
 

@@ -2,6 +2,7 @@
 #ifndef APQA_CORE_RANGE_QUERY_H_
 #define APQA_CORE_RANGE_QUERY_H_
 
+#include <deque>
 #include <string>
 
 #include "core/grid_tree.h"
@@ -16,6 +17,12 @@ namespace apqa::core {
 Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
                 const RoleSet& user_roles, const RoleSet& universe, Rng* rng,
                 ThreadPool* pool = nullptr);
+
+// SP side, shared by the grid-tree builders: appends the inaccessible entry
+// for `node` (a record entry for a leaf, a box entry otherwise) to `staged`
+// and queues the job that relaxes the node's signature into it.
+void StageInaccessible(const GridTree::Node& node, std::deque<VoEntry>* staged,
+                       std::vector<RelaxJob>* jobs);
 
 // Variant with an explicit relaxation target (the user's lacked-role set).
 // Hierarchical role assignment (§8.1) passes the *reduced* lacked set here,

@@ -4,6 +4,23 @@
 
 namespace apqa::core {
 
+namespace {
+
+// Steps `cur` to the next cell of `range` (last dimension fastest); returns
+// false, with `cur` back at range.lo, once every cell has been visited.
+bool NextCell(const Box& range, Point* cur) {
+  for (int d = static_cast<int>(cur->size()) - 1; d >= 0; --d) {
+    if ((*cur)[d] < range.hi[d]) {
+      ++(*cur)[d];
+      return true;
+    }
+    (*cur)[d] = range.lo[d];
+  }
+  return false;
+}
+
+}  // namespace
+
 DataOwner::DataOwner(const RoleSet& role_universe, const Domain& domain,
                      std::uint64_t seed)
     : rng_(seed) {
@@ -88,22 +105,11 @@ Vo ServiceProvider::BasicRangeQuery(const Box& range, const RoleSet& roles) {
   Vo vo;
   vo.stamp = tree_.stamp();
   Point cur = range.lo;
-  for (;;) {
+  do {
     Vo one = BuildEqualityVo(tree_, keys_.mvk, cur, roles, keys_.universe,
                              &rng_);
     vo.entries.push_back(std::move(one.entries[0]));
-    // Advance the odometer.
-    int d = static_cast<int>(cur.size()) - 1;
-    while (d >= 0) {
-      if (cur[d] < range.hi[d]) {
-        ++cur[d];
-        break;
-      }
-      cur[d] = range.lo[d];
-      --d;
-    }
-    if (d < 0) break;
-  }
+  } while (NextCell(range, &cur));
   return vo;
 }
 
@@ -115,7 +121,7 @@ JoinVo ServiceProvider::BasicJoinQuery(const Box& range, const RoleSet& roles) {
   vo.r_stamp = tree_.stamp();
   vo.s_stamp = tree_s_->stamp();
   Point cur = range.lo;
-  for (;;) {
+  do {
     const GridTree::Node& leaf_r = tree_.GetNode(tree_.LeafAt(cur));
     if (!leaf_r.policy.Evaluate(roles)) {
       Vo one = BuildEqualityVo(tree_, keys_.mvk, cur, roles, keys_.universe,
@@ -135,17 +141,7 @@ JoinVo ServiceProvider::BasicJoinQuery(const Box& range, const RoleSet& roles) {
                         leaf_s.record.policy, leaf_s.sig}});
       }
     }
-    int d = static_cast<int>(cur.size()) - 1;
-    while (d >= 0) {
-      if (cur[d] < range.hi[d]) {
-        ++cur[d];
-        break;
-      }
-      cur[d] = range.lo[d];
-      --d;
-    }
-    if (d < 0) break;
-  }
+  } while (NextCell(range, &cur));
   return vo;
 }
 

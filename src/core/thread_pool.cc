@@ -1,5 +1,7 @@
 #include "core/thread_pool.h"
 
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 
 namespace apqa::core {
@@ -102,6 +104,37 @@ void ThreadPool::ParallelFor(std::size_t n,
     Submit([&fn, i] { fn(i); });
   }
   WaitAll();
+}
+
+void ThreadPool::SeededFanOut(
+    ThreadPool* pool, std::size_t n, crypto::Rng* rng,
+    const std::function<void(std::size_t, crypto::Rng*)>& fn) {
+  if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i, rng);
+    return;
+  }
+  std::vector<crypto::Rng> rngs;
+  rngs.reserve(static_cast<std::size_t>(pool->thread_count()));
+  for (int t = 0; t < pool->thread_count(); ++t) {
+    rngs.emplace_back(rng->NextU64());
+  }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  // Written only by the thread that flips `failed`; read after ParallelFor,
+  // whose WaitAll orders it after every task.
+  std::exception_ptr error;
+  pool->ParallelFor(rngs.size(), [&](std::size_t t) {
+    while (!failed.load()) {
+      std::size_t i = next.fetch_add(1);
+      if (i >= n) break;
+      try {
+        fn(i, &rngs[t]);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace apqa::core

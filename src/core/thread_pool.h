@@ -1,8 +1,9 @@
 // Fixed-size thread pool (paper §8.2: acceleration by parallelism).
 //
 // The SP's dominant query-time cost is the set of independent ABS.Relax
-// operations for inaccessible nodes; the pool maps them over worker threads.
-// The DO uses the same pool to parallelize ADS signing, and the query
+// operations for inaccessible nodes; SeededFanOut maps them over worker
+// threads (core/app_signature.h RelaxAll). The DO signs its ADS through the
+// same fan-out (GridTree::Build), and the query
 // service (net/server.h) uses it as a bounded request queue: TrySubmit
 // rejects work once `max_queue` tasks are waiting, which is what lets the
 // server shed load instead of building an unbounded backlog.
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/lock_rank.h"
+#include "crypto/rng.h"
 
 namespace apqa::core {
 
@@ -57,6 +59,16 @@ class ThreadPool {
 
   // Convenience: runs fn(i) for i in [0, n) across the pool and waits.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  // Runs fn(i, rng) for every i in [0, n) and waits. Serial on `rng`, in
+  // index order, when `pool` is null, has no worker threads, or n <= 1.
+  // Otherwise every worker thread draws from its own Rng, seeded from `rng`
+  // up front (thread_count() draws), and the threads take indices from a
+  // shared counter. The first exception fn throws is rethrown here; indices
+  // not yet taken by then are skipped.
+  static void SeededFanOut(
+      ThreadPool* pool, std::size_t n, crypto::Rng* rng,
+      const std::function<void(std::size_t, crypto::Rng*)>& fn);
 
  private:
   void WorkerLoop();

@@ -434,6 +434,28 @@ TEST(ParallelPathTest, ThreadedBuildAndQueriesMatchSerial) {
       &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(rec.value, "v3");
+
+  // Join through the pool-backed SP: blocking covers on both sides are
+  // relaxed on the pool and must yield the same verified pairs.
+  std::vector<Record> s_records;
+  for (std::uint32_t k = 0; k < 24; ++k) {
+    s_records.push_back(
+        Rec(k, "s" + std::to_string(k), (k % 4 == 1) ? "RoleB" : "RoleA"));
+  }
+  sp_par.AttachJoinTable(owner.BuildAds(s_records, &pool));
+  sp_ser.AttachJoinTable(owner.BuildAds(s_records));
+  auto join_pairs = [&](ServiceProvider& sp) {
+    JoinVo vo = sp.JoinQuery(range, user.roles());
+    EXPECT_GT(vo.r_aps.size() + vo.s_aps.size(), 1u);
+    std::vector<std::pair<Record, Record>> pairs;
+    EXPECT_TRUE(Verified(user.VerifyJoin(range, vo, &pairs)));
+    std::set<std::string> out;
+    for (const auto& [r, s] : pairs) out.insert(r.value + "+" + s.value);
+    return out;
+  };
+  std::set<std::string> par_pairs = join_pairs(sp_par);
+  EXPECT_FALSE(par_pairs.empty());
+  EXPECT_EQ(par_pairs, join_pairs(sp_ser));
 }
 
 // User-side fan-out: the same VO verified serially and over a pool must

@@ -2,6 +2,8 @@
 // export/import, attribute-space queries).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "db/database.h"
 #include "verify_assert.h"
 
@@ -159,6 +161,32 @@ TEST_F(DatabaseTest, TamperedImportedAdsFailsVerification) {
   core::VerifyResult r = client_->VerifyRange(sp_->GetSchema("trades"), {0.0},
                                               {99.0}, vo, nullptr);
   EXPECT_FALSE(r.ok()) << r.ToString();
+}
+
+TEST_F(DatabaseTest, RelaxOnCorruptedImportedPolicyThrows) {
+  // Rewrite trade-b's leaf policy from "Admin" to "Admin | Intern" (with a
+  // re-prefixed u32 length). The bundle still parses, but the stored
+  // 1-row signature no longer fits the 2-row MSP of the policy, so the SP
+  // cannot relax it and must fail loudly instead of emitting garbage.
+  auto bundle = owner_->ExportTable("trades");
+  const std::string from = "Admin", to = "Admin | Intern";
+  std::vector<std::uint8_t> needle = {5, 0, 0, 0};
+  needle.insert(needle.end(), from.begin(), from.end());
+  auto at = std::search(bundle.begin(), bundle.end(), needle.begin(),
+                        needle.end());
+  ASSERT_NE(at, bundle.end());
+  std::vector<std::uint8_t> patch = {
+      static_cast<std::uint8_t>(to.size()), 0, 0, 0};
+  patch.insert(patch.end(), to.begin(), to.end());
+  at = bundle.erase(at, at + static_cast<std::ptrdiff_t>(needle.size()));
+  bundle.insert(at, patch.begin(), patch.end());
+
+  SpDatabase evil(owner_->keys());
+  ASSERT_TRUE(evil.ImportTable(bundle));
+  // Only trade-b's cell, for a user holding no roles: the leaf is
+  // inaccessible and reaches ABS.Relax directly.
+  EXPECT_THROW(evil.Range("trades", {33.0}, {33.0}, RoleSet{}),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -129,5 +129,53 @@ TEST(ThreadPoolTest, SubmitAfterStopOnSynchronousPoolAlsoThrows) {
   EXPECT_FALSE(pool.TrySubmit([] {}));
 }
 
+TEST(ThreadPoolTest, SeededFanOutRunsSeriallyOnCallerRng) {
+  // No pool, a one-thread pool, and a single job all run in index order on
+  // the caller's Rng, so fixed-seed output does not depend on the pool.
+  ThreadPool one(1), four(4);
+  struct Case {
+    ThreadPool* pool;
+    std::size_t n;
+  };
+  for (Case c : {Case{nullptr, 5}, Case{&one, 5}, Case{&four, 1}}) {
+    crypto::Rng rng(42), want(42);
+    std::vector<std::size_t> order;
+    ThreadPool::SeededFanOut(c.pool, c.n, &rng,
+                             [&](std::size_t i, crypto::Rng* r) {
+                               EXPECT_EQ(r, &rng);
+                               EXPECT_EQ(r->NextU64(), want.NextU64());
+                               order.push_back(i);
+                             });
+    std::vector<std::size_t> expected(c.n);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
+}
+
+TEST(ThreadPoolTest, SeededFanOutCoversIndicesAndRethrows) {
+  ThreadPool pool(4);
+  crypto::Rng rng(7);
+  std::vector<std::atomic<int>> hits(200);
+  ThreadPool::SeededFanOut(&pool, hits.size(), &rng,
+                           [&](std::size_t i, crypto::Rng* r) {
+                             r->NextU64();
+                             hits[i].fetch_add(1);
+                           });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // A throwing job surfaces on the calling thread, not as a worker crash,
+  // and the pool stays usable.
+  EXPECT_THROW(ThreadPool::SeededFanOut(&pool, 200, &rng,
+                                        [](std::size_t i, crypto::Rng*) {
+                                          if (i == 17) {
+                                            throw std::runtime_error("job");
+                                          }
+                                        }),
+               std::runtime_error);
+  std::atomic<int> after{0};
+  pool.ParallelFor(8, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
 }  // namespace
 }  // namespace apqa::core
