@@ -10,7 +10,10 @@
 //                   loop, n = 4..256.
 //   multipairing  — lockstep batched-inversion MultiPairing vs. the per-pair
 //                   reference (N Miller loops, one final exponentiation).
-//   abs           — end-to-end ABS sign/verify at a fixed predicate length.
+//   ct-mul        — the constant-pattern GLV ladder (CtScalarMul) that
+//                   re-randomizes relaxed signatures, on G1 and G2.
+//   abs           — end-to-end ABS sign/verify at a fixed predicate length,
+//                   and Relax to a nine-role super policy.
 //
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_msm.json ./bench_msm_micro   (or --json=PATH)
@@ -18,6 +21,7 @@
 
 #include "abs/abs.h"
 #include "bench_util.h"
+#include "crypto/ct.h"
 #include "crypto/msm.h"
 
 namespace {
@@ -148,6 +152,25 @@ void BenchFixedBase(Rng* rng, int iters) {
   RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2);
 }
 
+// The constant-pattern variable-base ladder (CtScalarMul) on a non-generator
+// base with secret scalars: the per-point cost of ABS.Relax's
+// re-randomization.
+void BenchCtMul(Rng* rng, int iters) {
+  std::printf("constant-pattern variable-base ladder (%d iters)\n", iters);
+  std::vector<SecretFr> ks(static_cast<std::size_t>(iters));
+  for (auto& k : ks) k = rng->NextNonZeroSecretFr();
+  const G1 p1 = G1Mul(rng->NextNonZeroFr());
+  const G2 p2 = G2Mul(rng->NextNonZeroFr());
+  int i = 0;
+  Report("g1_ct_mul", TimeMs(iters, [&] {
+           Sink(CtScalarMul(p1, ks[static_cast<std::size_t>(i++ % iters)]));
+         }));
+  i = 0;
+  Report("g2_ct_mul", TimeMs(iters, [&] {
+           Sink(CtScalarMul(p2, ks[static_cast<std::size_t>(i++ % iters)]));
+         }));
+}
+
 void BenchMsm(Rng* rng, bool fast) {
   std::printf("Pippenger MSM vs naive sum\n");
   for (std::size_t n : {4u, 16u, 64u, 256u}) {
@@ -231,6 +254,17 @@ void BenchAbs(bool fast) {
     Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
   });
   Report("abs_verify_len12", verify_ms);
+
+  // Relax Role0 & Role1 to the OR of nine roles: two kept rows, seven fresh
+  // roles (the BM_AbsRelax shape in bench_abs_micro).
+  policy::Policy conj = policy::Policy::Parse("Role0 & Role1");
+  auto conj_sig = abs::Abs::Sign(mvk, sk, msg, conj, &rng);
+  policy::RoleSet lacked;
+  for (int k = 0; k < 9; ++k) lacked.insert("Role" + std::to_string(k));
+  double relax_ms = TimeMs(iters, [&] {
+    Sink(*abs::Abs::Relax(mvk, *conj_sig, conj, msg, lacked, &rng));
+  });
+  Report("abs_relax_lacked9", relax_ms);
 }
 
 }  // namespace
@@ -243,6 +277,7 @@ int main(int argc, char** argv) {
   Rng rng(20260807);
   BenchMontKernel(&rng, fast);
   BenchFixedBase(&rng, fast ? 50 : 400);
+  BenchCtMul(&rng, fast ? 20 : 200);
   BenchMsm(&rng, fast);
   BenchMultiPairing(&rng, fast);
   BenchAbs(fast);

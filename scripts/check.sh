@@ -41,7 +41,9 @@
 #      that must emit the mont_mul_{portable,accel} kernel rows, the
 #      mont_kernel_bitmatch differential row (the bench aborts on any
 #      accel/portable representation mismatch, so the row doubles as the
-#      oracle) and the g1_{wnaf,mul_glv,fixed_base} scalar-mult rows; then
+#      oracle), the g1_{wnaf,mul_glv,fixed_base} scalar-mult rows, the
+#      {g1,g2}_ct_mul constant-pattern ladder rows and the
+#      abs_relax_lacked9 Relax row; then
 #      one fast-mode run of bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows and the
 #      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into
@@ -238,7 +240,8 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$MSM_JSON" \
 # found zero representation mismatches (the bench aborts otherwise), so a
 # missing row is a failed differential, not just a missing measurement.
 for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
-           g1_wnaf g1_mul_glv g1_fixed_base; do
+           g1_wnaf g1_mul_glv g1_fixed_base g1_ct_mul g2_ct_mul \
+           abs_relax_lacked9; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1

@@ -242,31 +242,37 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
   for (auto& r : ri) r = rng->NextNonZeroSecretFr();
 
   sig.s.resize(rows);
-  std::vector<G2> ti(rows);  // (A * B^{u_i})^{r_i}
+  std::vector<Fr> u(rows);
   for (std::size_t i = 0; i < rows; ++i) {
-    // (C g^mu)^{r_i} and (A B^{u_i})^{r_i}, each split over the fixed-base
-    // tables of the key components; blinding scalars stay on the
-    // constant-pattern ladder throughout. The (*v)[i] branch itself is
-    // quarantined: it reveals which owned attributes satisfy the predicate
-    // (an attribute-usage pattern), not key material — see DESIGN.md.
+    // (C g^mu)^{r_i}, split over the fixed-base tables of the key
+    // components; blinding scalars stay on the constant-pattern ladder
+    // throughout. The (*v)[i] branch itself is quarantined: it reveals which
+    // owned attributes satisfy the predicate (an attribute-usage pattern),
+    // not key material — see DESIGN.md.
     G1 si = pc.c_tab.MulCt(ri[i]) + pc.g_tab.MulCt(mu * ri[i]);
     if ((*v)[i] != 0) {
       si = si + crypto::CtScalarMul(sk.k_attr.at(msp.row_labels[i]), r0);
     }
     sig.s[i] = si;
-    Fr ui = RoleScalar(msp.row_labels[i]);
-    ti[i] = pc.a_tab.MulCt(ri[i]) + pc.b_tab.MulCt(ui * ri[i]);
+    u[i] = RoleScalar(msp.row_labels[i]);
   }
 
-  sig.p.assign(cols, G2::Infinity());
+  // P_j = prod_i (A B^{u_i})^{M_ij r_i} = A^{sum_i M_ij r_i} *
+  // B^{sum_i M_ij u_i r_i}: the exponents are folded in Fr first, so each
+  // column costs two fixed-base multiplies however many rows feed it.
+  sig.p.resize(cols);
   for (std::size_t j = 0; j < cols; ++j) {
+    SecretFr ea(Fr::Zero()), eb(Fr::Zero());
     for (std::size_t i = 0; i < rows; ++i) {
       if (msp.m[i][j] == 1) {
-        sig.p[j] = sig.p[j] + ti[i];
+        ea = ea + ri[i];
+        eb = eb + u[i] * ri[i];
       } else if (msp.m[i][j] == -1) {
-        sig.p[j] = sig.p[j] - ti[i];
+        ea = ea - ri[i];
+        eb = eb - u[i] * ri[i];
       }
     }
+    sig.p[j] = pc.a_tab.MulCt(ea) + pc.b_tab.MulCt(eb);
   }
   return sig;
 }
@@ -449,47 +455,58 @@ std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
   Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
   const VerifyKey::Precomp& pc = mvk.precomp();
 
-  G2 p1 = G2::Infinity();
-  for (std::size_t j : purge.kept_cols) p1 = p1 + sig.p[j];
+  G2 p_kept = G2::Infinity();
+  for (std::size_t j : purge.kept_cols) p_kept = p_kept + sig.p[j];
 
   // Step 2 (merge duplicates) + Step 3 (append missing attributes). The new
   // predicate ∨_{a∈relax_to} a has one row per role, ordered like RoleSet
   // (lexicographically) — the same order BuildMsp produces for
-  // Policy::OrOfRoles(relax_to).
+  // Policy::OrOfRoles(relax_to). A missing role draws a fresh r (in role
+  // order, before rho); its row is filled in after step 4's rho is known.
   Signature out;
   out.tau = sig.tau;
   out.epoch = sig.epoch;
-  out.y = sig.y;
-  out.w = sig.w;
-  out.s.reserve(relax_to.size());
+  std::vector<G1> merged(relax_to.size(), G1::Infinity());
+  std::vector<std::optional<SecretFr>> fresh(relax_to.size());
+  std::size_t i = 0;
   for (const auto& role : relax_to) {
-    G1 merged = G1::Infinity();
     bool found = false;
     for (std::size_t k : purge.kept_rows) {
       if (msp.row_labels[k] == role) {
-        merged = merged + sig.s[k];
+        merged[i] = merged[i] + sig.s[k];
         found = true;
       }
     }
-    if (!found) {
-      SecretFr r = rng->NextNonZeroSecretFr();
-      // (C g^mu)^r and (A B^u)^r via the key-component tables.
-      merged = pc.c_tab.MulCt(r) + pc.g_tab.MulCt(mu * r);
-      Fr u = RoleScalar(role);
-      p1 = p1 + pc.a_tab.MulCt(r) + pc.b_tab.MulCt(u * r);
-    }
-    out.s.push_back(merged);
+    if (!found) fresh[i] = rng->NextNonZeroSecretFr();
+    ++i;
   }
 
   // Step 4: re-randomize so the output is distributed like a fresh
   // signature on the relaxed predicate. Leaking rho would link the APS
   // signature back to the APP original, so the re-randomization stays on
-  // the constant-pattern ladder.
+  // the constant-pattern ladders. rho is folded into the fresh scalars: a
+  // fresh row is (C g^mu)^{r rho} from the fixed-base tables, and all fresh
+  // P terms collapse into A^{sum r rho} * B^{sum u r rho} — two G2
+  // fixed-base multiplies per Relax, whatever the number of missing roles.
   SecretFr rho = rng->NextNonZeroSecretFr();
-  out.y = crypto::CtScalarMul(out.y, rho);
-  out.w = crypto::CtScalarMul(out.w, rho);
-  for (G1& si : out.s) si = crypto::CtScalarMul(si, rho);
-  out.p = {crypto::CtScalarMul(p1, rho)};
+  out.y = crypto::CtScalarMul(sig.y, rho);
+  out.w = crypto::CtScalarMul(sig.w, rho);
+  out.s.reserve(relax_to.size());
+  SecretFr ea(Fr::Zero()), eb(Fr::Zero());
+  i = 0;
+  for (const auto& role : relax_to) {
+    if (fresh[i].has_value()) {
+      SecretFr rr = *fresh[i] * rho;
+      out.s.push_back(pc.c_tab.MulCt(rr) + pc.g_tab.MulCt(mu * rr));
+      ea = ea + rr;
+      eb = eb + RoleScalar(role) * rr;
+    } else {
+      out.s.push_back(crypto::CtScalarMul(merged[i], rho));
+    }
+    ++i;
+  }
+  out.p = {crypto::CtScalarMul(p_kept, rho) + pc.a_tab.MulCt(ea) +
+           pc.b_tab.MulCt(eb)};
   return out;
 }
 

@@ -11,9 +11,10 @@
 //      `Declassify()`. `scripts/lint.py --list-declassify` audits every
 //      call site.
 //
-//   2. Constant-pattern kernels — complete-addition point arithmetic
-//      (Renes–Costello–Batina 2016, Alg. 7 for a = 0) driven by fixed-window
-//      ladders whose table lookups scan every entry with masked selects.
+//   2. Constant-pattern kernels — complete point arithmetic
+//      (Renes–Costello–Batina 2016, Alg. 7 addition and Alg. 9 doubling for
+//      a = 0) driven by fixed-window GLV ladders whose table lookups scan
+//      every entry with masked selects.
 //      Combined with the branch-free field reductions in prime_field.h these
 //      execute the same instruction and memory-access sequence for every
 //      scalar. `FixedBaseTable::MulCt` (msm.h) is the fixed-base variant.
@@ -212,6 +213,30 @@ CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q,
   return r;
 }
 
+// Renes–Costello–Batina 2016, Algorithm 9 (a = 0): exception-free
+// doubling, 6M + 2S + 1*mult-by-3b, no branches. The identity (0 : 1 : 0)
+// doubles to a representative of itself (Z3 = 0), so the ladder can double
+// its accumulator from the first window on.
+template <typename F>
+CtPoint<F> CtCompleteDouble(const CtPoint<F>& p, const F& b3) {
+  F t0 = p.y.Square();
+  F z8 = t0 + t0;
+  z8 = z8 + z8;
+  z8 = z8 + z8;  // 8 Y^2
+  F t1 = p.y * p.z;
+  F t2 = b3 * p.z.Square();  // 3b Z^2
+  CtPoint<F> r;
+  r.x = t2 * z8;
+  F y3 = t0 + t2;
+  r.z = t1 * z8;
+  F t2x3 = t2 + t2 + t2;
+  F u = t0 - t2x3;  // Y^2 - 9b Z^2
+  r.y = r.x + u * y3;
+  r.x = u * (p.x * p.y);
+  r.x = r.x + r.x;
+  return r;
+}
+
 // Jacobian (X, Y, Z) = (x Z^2, y Z^3, Z) -> homogeneous (x Z^3 : y Z^3 : Z^3)
 // = (X Z : Y : Z^3). Inversion-free and branch-free; Jacobian infinity
 // (Z = 0) maps to a representative of the projective identity.
@@ -228,34 +253,55 @@ CurvePoint<F> CtToJacobian(const CtPoint<F>& p) {
   return {p.x * p.z, p.y * z2, p.z};
 }
 
-// Constant-pattern variable-base scalar multiplication: fixed 4-bit windows
-// MSB-first, 16-entry table scanned in full with masked selects, one
-// complete addition per window, four complete doublings between windows —
-// 320 complete additions for every scalar, zero data-dependent skips.
+// Constant-pattern variable-base scalar multiplication, GLV two-track
+// ladder. The canonical scalar is split with the branch-free GlvSplitLimbs
+// into k = k1 + k2*lambda (both below 2^128); one 16-entry table of
+// multiples d*P serves both tracks, the phi-track reusing the selected entry
+// with beta-scaled x (phi maps the identity encoding (0 : 1 : 0) to itself,
+// so digit 0 stays the identity). Each of the 32 windows, MSB first, does
+// four complete doublings (none before the top window: 124 in all), then a
+// full masked scan and one complete addition per track ('A' for k1, 'B' for
+// k2) — the same instruction and memory-access sequence for every scalar.
+//
+// Precondition: `base` lies in the prime-order subgroup, where phi acts as
+// multiplication by lambda (the same precondition as ScalarMul's GLV path).
+// Internally generated points are multiples of the generators and every
+// decoded point passes ReadG1/ReadG2's subgroup check, so all callers
+// satisfy it; for any other point the result is wrong, not unsafe.
 template <typename F>
 CurvePoint<F> CtScalarMul(const CurvePoint<F>& base, const SecretFr& k) {
   const F& b3 = CtCurveB3<F>::Get();
+  const F& beta = GlvEndo<F>::Beta();
   CtPoint<F> table[16];
   table[0] = CtPoint<F>::Identity();
-  CtPoint<F> p = CtFromJacobian(base);
-  for (int i = 1; i < 16; ++i) table[i] = CtCompleteAdd(table[i - 1], p, b3);
+  table[1] = CtFromJacobian(base);
+  for (int i = 2; i < 16; ++i) {
+    table[i] = i % 2 == 0 ? CtCompleteDouble(table[i / 2], b3)
+                          : CtCompleteAdd(table[i - 1], table[1], b3);
+  }
 
-  const Limbs<4> e = k.ct_ref().ToCanonical();
+  const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
   CtPoint<F> acc = CtPoint<F>::Identity();
-  for (unsigned w = 64; w-- > 0;) {
-    if (w != 63) {
+  for (unsigned w = 32; w-- > 0;) {
+    if (w != 31) {
       for (int i = 0; i < 4; ++i) {
         ct_trace::Emit('D', w);
-        acc = CtCompleteAdd(acc, acc, b3);
+        acc = CtCompleteDouble(acc, b3);
       }
     }
-    const u64 digit = (e[w / 16] >> (4 * (w % 16))) & 15u;
-    CtPoint<F> sel = table[0];
+    const unsigned shift = 4 * (w % 16);
+    const u64 d1 = (kd.k1[w / 16] >> shift) & 15u;
+    const u64 d2 = (kd.k2[w / 16] >> shift) & 15u;
+    CtPoint<F> sel1 = table[0], sel2 = table[0];
     for (u64 d = 1; d < 16; ++d) {
-      CtCondAssignObj(&sel, table[d], CtEqMask64(digit, d));
+      CtCondAssignObj(&sel1, table[d], CtEqMask64(d1, d));
+      CtCondAssignObj(&sel2, table[d], CtEqMask64(d2, d));
     }
+    sel2.x = sel2.x * beta;
     ct_trace::Emit('A', w);
-    acc = CtCompleteAdd(acc, sel, b3);
+    acc = CtCompleteAdd(acc, sel1, b3);
+    ct_trace::Emit('B', w);
+    acc = CtCompleteAdd(acc, sel2, b3);
   }
   return CtToJacobian(acc);
 }

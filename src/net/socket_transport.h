@@ -2,7 +2,10 @@
 //
 // The stream is parsed incrementally against the frame header (net/frame.h):
 // a fixed-size header announces the payload length, which is clamped before
-// any allocation. A desynchronized stream (bad magic, oversized length) is
+// any allocation. A poll window that expires mid-frame is a plain kTimeout:
+// the bytes read so far stay in a per-transport buffer and the next Recv
+// resumes the same frame, so a slow or bursty peer never desynchronizes the
+// stream. A desynchronized stream (bad magic, oversized length) is
 // unrecoverable — Recv reports kError and the connection should be dropped;
 // per-frame corruption detection stays with the checksum in DecodeFrame.
 #ifndef APQA_NET_SOCKET_TRANSPORT_H_
@@ -39,11 +42,13 @@ class SocketTransport : public Transport {
   void Close() override;
 
  private:
-  // Reads exactly n bytes into out, polling against the deadline.
-  RecvStatus ReadExact(std::uint8_t* out, std::size_t n,
-                       std::int64_t deadline_unix_ms);
+  // Reads until pending_ holds at least `want` bytes, polling against the
+  // deadline. On any non-kOk return pending_ keeps exactly the bytes read.
+  RecvStatus ReadPendingTo(std::size_t want, std::int64_t deadline_unix_ms);
 
   int fd_ = -1;
+  // The partially received frame (guarded by recv_mu_).
+  std::vector<std::uint8_t> pending_;
   // Leaf ranks: each is held alone. send/recv share a rank (a thread is a
   // writer or a reader, never both); state_mu_ gets its own rank so a
   // future fd check under an I/O lock nests legally rather than silently.

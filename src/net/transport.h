@@ -19,7 +19,8 @@ namespace apqa::net {
 
 enum class RecvStatus : std::uint8_t {
   kOk = 0,
-  kTimeout,  // nothing arrived within the deadline; endpoint still usable
+  kTimeout,  // no whole frame within the deadline; endpoint still usable
+             // (a stream transport resumes a partial frame on the next Recv)
   kClosed,   // peer closed; no further frames will arrive
   kError,    // transport-level failure (I/O error, protocol desync)
 };

@@ -4,6 +4,7 @@
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
 #include "crypto/serde.h"
+#include "crypto/sha256.h"
 
 namespace apqa::abs {
 namespace {
@@ -292,6 +293,77 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
         Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc2));
     EXPECT_FALSE(acc2.Check()) << "Y cancellation survived, trial " << trial;
   }
+}
+
+// Golden byte identity: a seeded Setup/KeyGen/Sign/Relax mix, every output
+// serialized in order and hashed. Scalar-multiplication rewrites (ladder
+// shape, fixed-base folds of the blinding scalars) must yield the same group
+// elements from the same RNG draws, so this digest may never move. The mix
+// covers kept, merged-duplicate and fresh relaxed rows, zero rows of the
+// satisfying vector, a nonzero epoch, a failing Relax, a nine-role
+// relaxation, and a hand-assembled key without fixed-base tables (the
+// variable-base fallback in Sign).
+TEST(AbsGoldenTest, SeededSetupKeyGenSignRelaxBytesArePinned) {
+  Rng rng(0x601d);
+  MasterKey msk;
+  VerifyKey mvk;
+  Abs::Setup(&rng, &msk, &mvk);
+  common::ByteWriter w;
+  mvk.Serialize(&w);
+
+  SigningKey sk_all =
+      Abs::KeyGen(msk, {"Role0", "RoleA", "RoleB", "RoleC", "RoleD"}, &rng);
+  SigningKey sk_ab = Abs::KeyGen(msk, {"RoleA", "RoleB"}, &rng);
+  SigningKey sk_bare;  // same key material, no fixed-base tables
+  sk_bare.k_base = sk_ab.k_base;
+  sk_bare.k0 = sk_ab.k0;
+  sk_bare.k_attr = sk_ab.k_attr;
+  for (const SigningKey* sk : {&sk_all, &sk_ab}) {
+    crypto::WriteG1(&w, sk->k_base);
+    crypto::WriteG1(&w, sk->k0);
+    for (const auto& [role, k] : sk->k_attr) {
+      w.PutString(role);
+      crypto::WriteG1(&w, k);
+    }
+  }
+
+  const RoleSet lacked9 = {"RoleA", "R1", "R2", "R3", "R4",
+                           "R5",    "R6", "R7", "R8"};
+  struct Case {
+    const char* pred;
+    const SigningKey* sk;
+    std::uint64_t epoch;
+    std::vector<RoleSet> relax_to;
+  };
+  const std::vector<Case> cases = {
+      {"(RoleA & RoleB) | RoleC", &sk_all, 0,
+       {{"Role0", "RoleA", "RoleB", "RoleD"}, {"RoleC", "RoleD"}}},
+      {"(RoleA & RoleB) | RoleC", &sk_ab, 7, {{"RoleA", "RoleC"}}},
+      {"RoleA & RoleB", &sk_bare, 0, {{"Role0", "RoleA", "RoleB", "RoleD"}}},
+      {"(RoleA & RoleB) | (RoleA & RoleC)", &sk_all, 3,
+       {{"Role0", "RoleA", "RoleB", "RoleC"}}},
+      {"(RoleA & (RoleB | RoleC)) | (RoleC & RoleD)", &sk_all, 0,
+       {{"Role0", "RoleA", "RoleC", "RoleD"}, {"Role0", "RoleC", "RoleD"}}},
+      {"RoleA", &sk_ab, 1, {lacked9}},
+  };
+  for (const Case& c : cases) {
+    Policy pred = Policy::Parse(c.pred);
+    auto sig = Abs::Sign(mvk, *c.sk, Msg(c.pred), pred, &rng, c.epoch);
+    ASSERT_TRUE(sig.has_value()) << c.pred;
+    ASSERT_TRUE(Abs::Verify(mvk, Msg(c.pred), pred, *sig)) << c.pred;
+    sig->Serialize(&w);
+    for (const RoleSet& to : c.relax_to) {
+      auto relaxed = Abs::Relax(mvk, *sig, pred, Msg(c.pred), to, &rng);
+      w.PutU8(relaxed.has_value() ? 1 : 0);
+      if (!relaxed.has_value()) continue;
+      ASSERT_TRUE(
+          Abs::Verify(mvk, Msg(c.pred), Policy::OrOfRoles(to), *relaxed));
+      relaxed->Serialize(&w);
+    }
+  }
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(w.data().data(),
+                                                     w.data().size())),
+            "6da4ea013693a4b76ef03646f16905bdd9cb9b737909cc7f513ac8bb811580a3");
 }
 
 }  // namespace

@@ -9,11 +9,13 @@
 //   2. Differential: the constant-time primitives (CtEqBytes, CtSelect*,
 //      CtCondAssignObj) match naive semantics on adversarial edge cases,
 //      and every constant-pattern ladder matches its variable-time twin on
-//      edge scalars (0, 1, 2, r-1) and random scalars.
+//      edge scalars (0, 1, 2, r-1) and random scalars; the GLV
+//      variable-base ladder also matches the double-and-add reference on
+//      the seams of its scalar split (k1 = 0, k2 = 0, lambda, 2^128 +- 1).
 //   3. Trace equivalence (runs under any compiler): the ct_trace hook
 //      records the ladder step sequence; distinct secrets must produce
-//      byte-identical traces, all the way up through ABS.Sign and
-//      CP-ABE KeyGen. A data-dependent skip, extra add, or reordering
+//      byte-identical traces, all the way up through ABS.Sign, ABS.Relax
+//      and CP-ABE KeyGen. A data-dependent skip, extra add, or reordering
 //      fails the comparison.
 //   4. MSan poisoning (clang + -DAPQA_SANITIZE=memory only): secret scalars
 //      are poisoned as uninitialized memory; any secret-dependent branch or
@@ -32,6 +34,7 @@
 #include "abs/abs.h"
 #include "cpabe/cpabe.h"
 #include "crypto/ct.h"
+#include "crypto/glv.h"
 #include "crypto/msm.h"
 #include "crypto/pairing.h"
 
@@ -184,6 +187,59 @@ std::vector<Fr> EdgeAndRandomScalars() {
   return ks;
 }
 
+// Scalars at the seams of the GLV split k = k1 + k2*lambda that the
+// variable-base ladder runs on: k2 = 0 (k < lambda), k1 = 0 (multiples of
+// lambda, up to r - 1 = lambda * (lambda + 1)), the carry into the top
+// window (lambda - 1, lambda, 2^128 +- 1), and the edge scalars above.
+std::vector<Fr> GlvBoundaryScalars() {
+  const Fr lambda = Fr::FromCanonical(crypto::GlvLambda());
+  const Fr two128 = Fr::FromCanonical(Limbs<4>{0, 0, 1, 0});
+  std::vector<Fr> ks = EdgeAndRandomScalars();
+  for (const Fr& k :
+       {Fr::FromU64(0xfedcba9876543210u), lambda - Fr::One(), lambda,
+        lambda + Fr::One(), lambda * Fr::FromU64(2),
+        lambda * Fr::FromU64(0xffffffffu), lambda * lambda,
+        lambda * (lambda + Fr::One()), two128 - Fr::One(), two128,
+        two128 + Fr::One()}) {
+    ks.push_back(k);
+  }
+  return ks;
+}
+
+TEST(CtKernels, GlvBoundaryScalarsHitTheirSplitShape) {
+  const Fr lambda = Fr::FromCanonical(crypto::GlvLambda());
+  // k < lambda: the phi-track mini-scalar is zero.
+  crypto::GlvDecomp d =
+      crypto::GlvSplitLimbs((lambda - Fr::One()).ToCanonical());
+  EXPECT_EQ(d.k2, (Limbs<4>{}));
+  // k = m * lambda: the P-track mini-scalar is zero.
+  d = crypto::GlvSplitLimbs((lambda * lambda).ToCanonical());
+  EXPECT_EQ(d.k1, (Limbs<4>{}));
+  EXPECT_EQ(d.k2, crypto::GlvLambda());
+  // r - 1 = lambda * (lambda + 1): k1 = 0, k2 = lambda + 1 < 2^128.
+  d = crypto::GlvSplitLimbs((Fr::Zero() - Fr::One()).ToCanonical());
+  EXPECT_EQ(d.k1, (Limbs<4>{}));
+  EXPECT_EQ(d.k2, (lambda + Fr::One()).ToCanonical());
+}
+
+TEST(CtKernels, CompleteDoublingMatchesJacobianDouble) {
+  Rng rng(0xdb1);
+  G1 p = crypto::G1Mul(rng.NextNonZeroFr());
+  G2 q = crypto::G2Mul(rng.NextNonZeroFr());
+  const Fp& b3 = crypto::CtCurveB3<Fp>::Get();
+  const Fp2& b3_2 = crypto::CtCurveB3<Fp2>::Get();
+  EXPECT_EQ(crypto::CtToJacobian(
+                crypto::CtCompleteDouble(crypto::CtFromJacobian(p), b3)),
+            p.Double());
+  EXPECT_EQ(crypto::CtToJacobian(
+                crypto::CtCompleteDouble(crypto::CtFromJacobian(q), b3_2)),
+            q.Double());
+  // 2O = O, with no special case.
+  EXPECT_TRUE(crypto::CtToJacobian(
+                  crypto::CtCompleteDouble(CtPoint<Fp>::Identity(), b3))
+                  .IsInfinity());
+}
+
 TEST(CtKernels, FixedBaseMulCtMatchesVariableTimeMul) {
   const auto& g1_tab = crypto::G1GeneratorTable();
   const auto& g2_tab = crypto::G2GeneratorTable();
@@ -193,16 +249,24 @@ TEST(CtKernels, FixedBaseMulCtMatchesVariableTimeMul) {
   }
 }
 
+// The GLV ladder against the wNAF path and against the plain double-and-add
+// reference, which shares no code with the GLV split or the wNAF recoding.
 TEST(CtKernels, VariableBaseCtScalarMulMatchesWnaf) {
   Rng rng(0xba5e);
   G1 p1 = crypto::G1Mul(rng.NextNonZeroFr());
   G2 p2 = crypto::G2Mul(rng.NextNonZeroFr());
-  for (const Fr& k : EdgeAndRandomScalars()) {
-    EXPECT_EQ(CtScalarMul(p1, SecretFr(k)), p1.ScalarMul(k));
-    EXPECT_EQ(CtScalarMul(p2, SecretFr(k)), p2.ScalarMul(k));
+  for (const Fr& k : GlvBoundaryScalars()) {
+    const G1 r1 = CtScalarMul(p1, SecretFr(k));
+    const G2 r2 = CtScalarMul(p2, SecretFr(k));
+    EXPECT_EQ(r1, p1.ScalarMul(k));
+    EXPECT_EQ(r2, p2.ScalarMul(k));
+    EXPECT_EQ(r1, p1.ScalarMulBinary(k));
+    EXPECT_EQ(r2, p2.ScalarMulBinary(k));
   }
   // Identity base: k * O == O for every k.
   EXPECT_TRUE(CtScalarMul(G1::Infinity(), SecretFr(Fr::FromU64(5)))
+                  .IsInfinity());
+  EXPECT_TRUE(CtScalarMul(G2::Infinity(), SecretFr(Fr::FromU64(5)))
                   .IsInfinity());
 }
 
@@ -343,13 +407,12 @@ TEST(CtTrace, FixedBaseGlvTraceCoversBothTracksEveryWindow) {
   }
 }
 
-TEST(CtTrace, VariableBaseLadderTraceIsScalarIndependent) {
+template <typename Point>
+void ExpectVariableBaseTraceIsScalarIndependent(const Point& p) {
   TraceCapture cap;
-  Rng rng(0x7ace);
-  G1 p = crypto::G1Mul(rng.NextNonZeroFr());
   std::vector<std::pair<char, unsigned>> reference;
   bool first = true;
-  for (const Fr& k : EdgeAndRandomScalars()) {
+  for (const Fr& k : GlvBoundaryScalars()) {
     // discard-ok: the trace capture observes the access pattern; the
     // product itself is irrelevant here.
     (void)CtScalarMul(p, SecretFr(k));
@@ -362,6 +425,37 @@ TEST(CtTrace, VariableBaseLadderTraceIsScalarIndependent) {
       EXPECT_EQ(t, reference) << "variable-base ladder trace depends on scalar";
     }
   }
+}
+
+TEST(CtTrace, VariableBaseLadderTraceIsScalarIndependent) {
+  Rng rng(0x7ace);
+  ExpectVariableBaseTraceIsScalarIndependent(
+      crypto::G1Mul(rng.NextNonZeroFr()));
+  ExpectVariableBaseTraceIsScalarIndependent(
+      crypto::G2Mul(rng.NextNonZeroFr()));
+}
+
+// The GLV variable-base ladder's exact shape: the top window adds on both
+// tracks ('A' for k1, 'B' for k2) with no doubling, and each of the 31
+// lower windows does four doublings ('D') before its two adds — 124 'D',
+// 32 'A', 32 'B'. A ladder that skipped the phi-track when k2 == 0, or a
+// leading run of zero windows, would change the shape.
+TEST(CtTrace, VariableBaseGlvTraceShapeIsPinned) {
+  TraceCapture cap;
+  // discard-ok: the trace capture observes the access pattern; the
+  // product itself is irrelevant here.
+  (void)CtScalarMul(crypto::G1Generator(), SecretFr(Fr::Zero()));
+  auto t = cap.Take();
+  std::vector<std::pair<char, unsigned>> want;
+  for (unsigned w = 32; w-- > 0;) {
+    if (w != 31) {
+      for (int i = 0; i < 4; ++i) want.emplace_back('D', w);
+    }
+    want.emplace_back('A', w);
+    want.emplace_back('B', w);
+  }
+  ASSERT_EQ(want.size(), 124u + 64u);
+  EXPECT_EQ(t, want);
 }
 
 TEST(CtTrace, GtPowTraceIsExponentIndependent) {
@@ -413,6 +507,38 @@ TEST(CtTrace, AbsSignTraceIsKeyAndBlindingIndependent) {
   auto t2 = trace_one_signer(20202);
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t2) << "ABS.Sign ladder trace depends on key material";
+}
+
+// ABS.Relax under independent keys, signatures and blinding draws: only
+// the predicate and the relaxation target (public structure) may shape the
+// ladder sequence — the kept-row/fresh-role split, the rho re-randomization
+// and the folded fixed-base P term all run the same steps for every secret.
+TEST(CtTrace, AbsRelaxTraceIsBlindingIndependent) {
+  using abs::Abs;
+  const policy::Policy pred =
+      policy::Policy::Parse("(doctor & cardiology) | (doctor & admin)");
+  const policy::RoleSet roles = {"doctor", "cardiology", "admin"};
+  const policy::RoleSet lacked = {"cardiology", "doctor", "nurse", "intern"};
+  const std::vector<std::uint8_t> msg = {4, 5, 6};
+
+  auto trace_one = [&](u64 seed) {
+    Rng rng(seed);
+    abs::MasterKey msk;
+    abs::VerifyKey mvk;
+    Abs::Setup(&rng, &msk, &mvk);
+    abs::SigningKey sk = Abs::KeyGen(msk, roles, &rng);
+    auto sig = Abs::Sign(mvk, sk, msg, pred, &rng);
+    EXPECT_TRUE(sig.has_value());
+    TraceCapture cap;
+    auto relaxed = Abs::Relax(mvk, *sig, pred, msg, lacked, &rng);
+    EXPECT_TRUE(relaxed.has_value());
+    return cap.Take();
+  };
+
+  auto t1 = trace_one(777);
+  auto t2 = trace_one(0x5eed);
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(t1, t2) << "ABS.Relax ladder trace depends on blinding or keys";
 }
 
 TEST(CtTrace, CpabeKeyGenTraceIsKeyIndependent) {
@@ -471,6 +597,10 @@ TEST(CtMsan, PoisonedScalarVariableBaseLadderIsBranchAndIndexClean) {
   G1 r = CtScalarMul(base, sk);
   CtDeclassifyMem(&r, sizeof(r));
   EXPECT_EQ(r, base.ScalarMul(k));
+  G2 base2 = crypto::G2Mul(rng.NextNonZeroFr());
+  G2 r2 = CtScalarMul(base2, sk);
+  CtDeclassifyMem(&r2, sizeof(r2));
+  EXPECT_EQ(r2, base2.ScalarMul(k));
 }
 
 TEST(CtMsan, PoisonedExponentGtLadderIsBranchClean) {

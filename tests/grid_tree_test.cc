@@ -4,6 +4,7 @@
 
 #include "core/range_query.h"
 #include "core/system.h"
+#include "crypto/sha256.h"
 #include "verify_assert.h"
 
 namespace apqa::core {
@@ -304,6 +305,40 @@ TEST_F(GridTreeTest, SerializationCarriesEpochState) {
   EXPECT_EQ(back->epoch(), 1u);
   EXPECT_EQ(back->digest(), tree.digest());
   EXPECT_EQ(back->stamp().epoch, 1u);
+}
+
+// Golden byte identity for the DO and SP sides of the AP²G-tree: a seeded
+// small build (every node signed with ABS.Sign), one ApplyUpdates round,
+// and range VOs whose inaccessible nodes are relaxed (ABS.Relax), all
+// serialized in order and hashed. Scalar-multiplication rewrites must keep
+// the same group elements from the same RNG draws, so the ADS, snapshot
+// and VO bytes may never move.
+TEST_F(GridTreeTest, SeededBuildAndRangeVoBytesArePinned) {
+  GridTree tree = BuildSmall();
+  common::ByteWriter w;
+  tree.Serialize(&w);
+  tree.ApplyUpdates(
+      mvk_, sk_,
+      {{AdsUpdateOp::Kind::kUpsert,
+        Record{Point{2, 3}, "c", Policy::Parse("RoleA & RoleB")}}},
+      rng_.get());
+  tree.Serialize(&w);
+  Rng qrng(5);
+  const Box full{Point{0, 0}, Point{3, 3}};
+  for (const RoleSet& roles :
+       {RoleSet{"RoleA"}, RoleSet{"RoleB"}, RoleSet{}}) {
+    Vo vo = BuildRangeVo(tree, mvk_, full, roles, universe_, &qrng);
+    ASSERT_TRUE(Verified(
+        VerifyRangeVoEx(mvk_, tree.domain(), full, roles, universe_, vo,
+                        nullptr, false, nullptr, tree.epoch())));
+    vo.Serialize(&w);
+  }
+  Vo part = BuildRangeVo(tree, mvk_, Box{Point{1, 1}, Point{3, 2}},
+                         {"RoleA"}, universe_, &qrng);
+  part.Serialize(&w);
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(w.data().data(),
+                                                     w.data().size())),
+            "56a7086cb4eff1ac5466ea3c39a0e65afba4836b1e7fba739eedcc07b754665b");
 }
 
 }  // namespace

@@ -1451,5 +1451,109 @@ TEST(TcpTransportTest, ClosedConnectionSurfacesAsTransportClosed) {
   EXPECT_EQ(r.status, ClientStatus::kTransportClosed);
 }
 
+// A poll window that expires mid-frame must not cost the frame: the peer
+// writes one frame in three pieces — split inside the header and inside the
+// payload — pausing longer than the receiver's timeout after each. Recv
+// reports kTimeout for each gap, then the intact frame, and the stream stays
+// in sync for the next one.
+TEST(TcpTransportTest, RecvResumesFramesSplitAcrossPollWindows) {
+  TcpListener listener(0);
+  ASSERT_TRUE(listener.ok());
+  std::unique_ptr<SocketTransport> receiver;
+  std::thread acceptor([&] { receiver = listener.Accept(10000); });
+  auto peer = SocketTransport::Connect("127.0.0.1", listener.port(), 2000);
+  ASSERT_NE(peer, nullptr);
+  acceptor.join();
+  ASSERT_NE(receiver, nullptr);
+
+  Frame f = MakeTestFrame();
+  f.payload.assign(100, 0x5a);
+  const std::vector<std::uint8_t> wire = EncodeFrame(f);
+  const std::size_t cuts[] = {0, 9, kFrameHeaderBytes + 40, wire.size()};
+  std::vector<std::uint8_t> got;
+  for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    ASSERT_TRUE(peer->Send(std::vector<std::uint8_t>(
+        wire.begin() + static_cast<std::ptrdiff_t>(cuts[i]),
+        wire.begin() + static_cast<std::ptrdiff_t>(cuts[i + 1]))));
+    if (i + 2 < std::size(cuts)) {
+      EXPECT_EQ(receiver->Recv(&got, /*timeout_ms=*/30), RecvStatus::kTimeout)
+          << "piece " << i;
+    }
+  }
+  ASSERT_EQ(receiver->Recv(&got, 5000), RecvStatus::kOk);
+  EXPECT_EQ(got, wire);
+
+  // The next whole frame is read from a synchronized stream.
+  ASSERT_TRUE(peer->Send(wire));
+  got.clear();
+  ASSERT_EQ(receiver->Recv(&got, 5000), RecvStatus::kOk);
+  EXPECT_EQ(got, wire);
+}
+
+// Writes every frame in three pieces (inside the header, inside the
+// payload, the rest) with pauses longer than the server's session poll
+// window in between.
+class SplittingTransport : public Transport {
+ public:
+  SplittingTransport(std::shared_ptr<Transport> inner, int gap_ms)
+      : inner_(std::move(inner)), gap_ms_(gap_ms) {}
+  bool Send(const std::vector<std::uint8_t>& frame) override {
+    const std::size_t cuts[] = {0, 7, kFrameHeaderBytes + 5, frame.size()};
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      if (i > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms_));
+      }
+      if (!inner_->Send(std::vector<std::uint8_t>(
+              frame.begin() + static_cast<std::ptrdiff_t>(cuts[i]),
+              frame.begin() + static_cast<std::ptrdiff_t>(cuts[i + 1])))) {
+        return false;
+      }
+    }
+    return true;
+  }
+  RecvStatus Recv(std::vector<std::uint8_t>* frame,
+                  std::uint32_t timeout_ms) override {
+    return inner_->Recv(frame, timeout_ms);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::shared_ptr<Transport> inner_;
+  int gap_ms_;
+};
+
+TEST(TcpTransportTest, ServedSessionSurvivesFramesSplitAcrossPollWindows) {
+  ServiceEnv& env = ServiceEnv::Get();
+  TcpListener listener(0);
+  ASSERT_TRUE(listener.ok());
+  SpServerOptions opts;
+  opts.recv_poll_ms = 20;
+  SpServer server(env.sp.get(), opts);
+  std::thread acceptor([&] {
+    auto conn = listener.Accept(10000);
+    if (conn != nullptr) server.AttachTransport(std::move(conn));
+  });
+  auto transport = SocketTransport::Connect("127.0.0.1", listener.port(), 2000);
+  ASSERT_NE(transport, nullptr);
+  acceptor.join();
+
+  ApqaClient client(env.owner->keys(), env.creds_c,
+                    std::make_shared<SplittingTransport>(
+                        std::shared_ptr<Transport>(std::move(transport)),
+                        /*gap_ms=*/60),
+                    FastClientOptions());
+  for (int round = 0; round < 2; ++round) {
+    Record rec;
+    bool accessible = false;
+    ClientResult r = client.Equality(Point{4}, &rec, &accessible);
+    ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.ToString();
+    EXPECT_EQ(r.attempts, 1) << "round " << round;
+    EXPECT_TRUE(accessible);
+    EXPECT_EQ(rec.value, "v4");
+  }
+  EXPECT_EQ(server.stats().served, 2u);
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace apqa::net
