@@ -61,25 +61,6 @@ void BM_AbsVerifyBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_AbsVerifyBatched)->Arg(2)->Arg(6)->Arg(12)->Arg(24)->Complexity();
 
-// Same-run baseline: the pre-engine verifier (on-the-fly MultiPairing, no
-// cached G2 line tables). The ratio to BM_AbsVerifyBatched is the
-// prepared-pairing engine's end-to-end win.
-void BM_AbsVerifyUnprepared(benchmark::State& state) {
-  Fixture f(64);
-  Policy pred = f.PolicyOfLength(static_cast<int>(state.range(0)));
-  auto sig = Abs::Sign(f.mvk, f.sk, Msg(), pred, &f.rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Abs::VerifyUnprepared(f.mvk, Msg(), pred, *sig));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_AbsVerifyUnprepared)
-    ->Arg(2)
-    ->Arg(6)
-    ->Arg(12)
-    ->Arg(24)
-    ->Complexity();
-
 void BM_AbsVerifyExact(benchmark::State& state) {
   Fixture f(64);
   Policy pred = f.PolicyOfLength(static_cast<int>(state.range(0)));

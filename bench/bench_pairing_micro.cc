@@ -1,20 +1,21 @@
-// Micro-benchmark (ablation): the prepared-pairing verification engine vs.
-// the paths it replaced.
+// Micro-benchmark (ablation): the prepared-pairing engine — the library's
+// one pairing evaluation — vs. the audit oracles and its own cached vs.
+// fresh-table arms.
 //
-//   miller loop   — sparse-line MillerLoop vs. the affine audit oracle
-//                   MillerLoopGeneric, and MillerLoopPrepared on a cached
-//                   G2Prepared coefficient table.
+//   miller loop   — the affine E(Fp12) oracle MillerLoopGeneric vs.
+//                   MillerLoopPrepared on a cached G2Prepared table.
 //   final exp     — the cyclotomic BLS12 chain vs. the exact
 //                   FinalExponentiationGeneric square-and-multiply ladder.
-//   pairing       — Pairing(p, q) vs. PairWith(p, prepared) plus the
-//                   pre-engine baseline (generic Miller loop + generic FE),
-//                   and the one-off G2Prepared construction cost.
+//   pairing       — the oracle pairing (generic Miller loop + generic FE)
+//                   vs. Pairing(p, q) (table built per call) vs.
+//                   PairWith(p, prepared), and the one-off G2Prepared
+//                   construction cost.
 //   fp12          — full Fp12 mul vs. MulBySparseLine on line-shaped operands.
-//   multipairing  — on-the-fly MultiPairing vs. MultiPairingPrepared with
-//                   every G2 input served from a cached table.
-//   abs           — end-to-end ABS verify: the prepared engine (Abs::Verify)
-//                   vs. the pre-engine path (Abs::VerifyUnprepared), same
-//                   signature, same run.
+//   multipairing  — MultiPairing (a fresh table per G2 input) vs.
+//                   MultiPairingPrepared with every G2 input served from a
+//                   cached table.
+//   abs           — end-to-end ABS verify (Abs::Verify) on the prepared
+//                   engine.
 //   abs batch     — whole-batch BatchAccumulator verification of n
 //                   signatures sharing one final exponentiation.
 //   range vo      — user-side range-VO verification: the retained
@@ -74,22 +75,22 @@ void Speedup(const char* row, double baseline, double engine) {
 }
 
 void BenchMillerLoop(Rng* rng, int iters) {
-  std::printf("Miller loop: generic vs sparse-line vs prepared\n");
+  std::printf("Miller loop: generic oracle vs prepared\n");
   G1 p = G1Mul(rng->NextNonZeroFr());
   G2 q = G2Mul(rng->NextNonZeroFr());
   G2Prepared prep(q);
   double generic = TimeMs(iters, [&] { Sink(MillerLoopGeneric(p, q)); });
   Report("miller_generic", generic);
-  double sparse = TimeMs(iters, [&] { Sink(MillerLoop(p, q)); });
-  Report("miller_sparse", sparse);
-  double prepared = TimeMs(iters, [&] { Sink(MillerLoopPrepared(p, prep)); });
+  double prepared =
+      TimeMs(iters, [&] { Sink(MillerLoopPrepared({{p, &prep}})); });
   Report("miller_prepared", prepared);
   Speedup("miller_prepared_vs_generic", generic, prepared);
 }
 
 void BenchFinalExp(Rng* rng, int iters) {
   std::printf("final exponentiation: generic ladder vs cyclotomic chain\n");
-  GT f = MillerLoop(G1Mul(rng->NextNonZeroFr()), G2Mul(rng->NextNonZeroFr()));
+  GT f = MillerLoopGeneric(G1Mul(rng->NextNonZeroFr()),
+                           G2Mul(rng->NextNonZeroFr()));
   double generic = TimeMs(iters, [&] { Sink(FinalExponentiationGeneric(f)); });
   Report("final_exp_generic", generic);
   double fast = TimeMs(iters, [&] { Sink(FinalExponentiation(f)); });
@@ -98,29 +99,29 @@ void BenchFinalExp(Rng* rng, int iters) {
 }
 
 void BenchPairing(Rng* rng, int iters) {
-  std::printf("single pairing: pre-engine vs on-the-fly vs prepared\n");
+  std::printf("single pairing: oracle vs fresh table vs prepared\n");
   G1 p = G1Mul(rng->NextNonZeroFr());
   G2 q = G2Mul(rng->NextNonZeroFr());
-  // The seed pairing: affine Miller loop + exact-ladder final exponentiation
-  // (what Pairing(p, q) cost before the engine landed).
+  // The oracle pairing: affine Miller loop + exact-ladder final
+  // exponentiation (what Pairing(p, q) cost before the engine landed).
   double seed = TimeMs(iters, [&] {
     Sink(FinalExponentiationGeneric(MillerLoopGeneric(p, q)));
   });
   Report("pairing_pre_engine", seed);
-  double onthefly = TimeMs(iters, [&] { Sink(Pairing(p, q)); });
-  Report("pairing_onthefly", onthefly);
+  double fresh = TimeMs(iters, [&] { Sink(Pairing(p, q)); });
+  Report("pairing_fresh_table", fresh);
   double prepare = TimeMs(iters, [&] { Sink(G2Prepared(q)); });
   Report("g2_prepare", prepare);
   G2Prepared prep(q);
   double prepared = TimeMs(iters, [&] { Sink(PairWith(p, prep)); });
   Report("pairing_prepared", prepared);
   Speedup("pairing_prepared_vs_pre_engine", seed, prepared);
-  Speedup("pairing_prepared_vs_onthefly", onthefly, prepared);
 }
 
 void BenchFp12Mul(Rng* rng, int iters) {
   std::printf("Fp12 line fold: full mul vs sparse-line mul\n");
-  GT a = MillerLoop(G1Mul(rng->NextNonZeroFr()), G2Mul(rng->NextNonZeroFr()));
+  GT a = MillerLoopGeneric(G1Mul(rng->NextNonZeroFr()),
+                           G2Mul(rng->NextNonZeroFr()));
   // Line-shaped operand: only the w^0, w^2, w^3 slots are non-zero.
   Fp2 a0 = a.c0.c0, a2 = a.c0.c1, a3 = a.c1.c1;
   GT line = Fp12::FromSparseLine(a0, a2, a3);
@@ -132,7 +133,7 @@ void BenchFp12Mul(Rng* rng, int iters) {
 }
 
 void BenchMultiPairing(Rng* rng, bool fast) {
-  std::printf("multi-pairing: on-the-fly vs prepared tables\n");
+  std::printf("multi-pairing: fresh tables vs cached tables\n");
   for (std::size_t n : {2u, 4u, 8u, 16u}) {
     if (fast && n > 4) break;
     std::vector<std::pair<G1, G2>> pairs;
@@ -148,18 +149,16 @@ void BenchMultiPairing(Rng* rng, bool fast) {
     int iters = fast ? 2 : 5;
     double fresh = TimeMs(iters, [&] { Sink(MultiPairing(pairs)); });
     char row[64];
-    std::snprintf(row, sizeof(row), "multipairing_onthefly_n%zu", n);
+    std::snprintf(row, sizeof(row), "multipairing_fresh_n%zu", n);
     Report(row, fresh);
     double prep = TimeMs(iters, [&] { Sink(MultiPairingPrepared(prepared)); });
     std::snprintf(row, sizeof(row), "multipairing_prepared_n%zu", n);
     Report(row, prep);
-    std::snprintf(row, sizeof(row), "multipairing_speedup_n%zu", n);
-    Speedup(row, fresh, prep);
   }
 }
 
 void BenchAbsVerify(bool fast) {
-  std::printf("ABS verify end-to-end: prepared engine vs pre-engine path\n");
+  std::printf("ABS verify end-to-end (prepared engine)\n");
   crypto::Rng rng(11);
   abs::MasterKey msk;
   abs::VerifyKey mvk;
@@ -176,20 +175,14 @@ void BenchAbsVerify(bool fast) {
   std::vector<std::uint8_t> msg = {'p', 'a', 'i', 'r'};
   auto sig = abs::Abs::Sign(mvk, sk, msg, pred, &rng);
 
-  // Warm both paths once so table construction is not billed to either row.
+  // Warm once so attribute-table construction is not billed to the row.
   Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
-  Sink(abs::Abs::VerifyUnprepared(mvk, msg, pred, *sig));
 
   int iters = fast ? 2 : 8;
-  double unprepared = TimeMs(iters, [&] {
-    Sink(abs::Abs::VerifyUnprepared(mvk, msg, pred, *sig));
-  });
-  Report("abs_verify_unprepared_len12", unprepared);
   double prepared = TimeMs(iters, [&] {
     Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
   });
   Report("abs_verify_prepared_len12", prepared);
-  Speedup("abs_verify_speedup", unprepared, prepared);
 }
 
 void BenchAbsBatchVerify(bool fast) {

@@ -13,7 +13,9 @@
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
 #      crypto suites again under APQA_FORCE_PORTABLE=1 so the portable
-#      Montgomery/no-accel arm of the runtime dispatch stays covered, then
+#      Montgomery/no-accel arm of the runtime dispatch stays covered (the
+#      pairing suites — Pairing*, MultiPairing* — and CpAbeTest, whose
+#      Decrypt is the one MultiPairing caller outside ABS), then
 #      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
 #      notice when the clang tools are not installed — the default
@@ -78,7 +80,7 @@ echo "=== ctest (forced-portable kernels) ==="
 # what normally executes. The bitmatch differential inside field_test then
 # proves the two arms agree representation-for-representation.
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CpAbe)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:

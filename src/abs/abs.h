@@ -14,7 +14,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,22 +45,13 @@ struct VerifyKey {
   void Serialize(common::ByteWriter* w) const;
   static VerifyKey Deserialize(common::ByteReader* r);
 
-  // h^(a + b*u) for an attribute scalar u — the per-row base used by both
-  // signing and verification. Served from the precomputed B table plus a
-  // per-scalar memo (verification keys are long-lived and see the same
-  // role scalars over and over).
-  G2 AttributeBase(const Fr& u) const;
-
-  // Prepared-pairing table for h^(a + b*u), memoized like AttributeBase.
-  // The returned reference stays valid for the key's lifetime (map nodes
-  // are stable) and the table is immutable once built, so it is safe to
-  // share read-only across verifier threads.
+  // Prepared-pairing table for the per-row base h^(a + b*u) of an attribute
+  // scalar u, built from the precomputed B table and memoized per scalar
+  // (verification keys are long-lived and see the same role scalars over
+  // and over). The returned reference stays valid for the key's lifetime
+  // (map nodes are stable) and the table is immutable once built, so it is
+  // safe to share read-only across verifier threads.
   const crypto::G2Prepared& AttributeBasePrepared(const Fr& u) const;
-
-  // Memoized constant e(g, h) — the generator pairing warmed alongside the
-  // prepared tables so callers (warm-up paths, benches, tests) never
-  // re-derive it.
-  const crypto::GT& GeneratorPairing() const;
 
   // Fixed-base tables for the key components that every sign/relax/verify
   // multiplies: G = g, C = c over G1 and A = h^a, B = h^b over G2 — plus
@@ -75,10 +65,8 @@ struct VerifyKey {
     // Rank kAttrCache: taken by verifiers and signers that may already hold
     // the server's kServerSp lock and the pool's kThreadPool lock context.
     mutable common::RankedMutex<common::LockRank::kAttrCache> attr_mu;
-    mutable std::map<crypto::Limbs<4>, G2> attr_base;  // keyed by canonical u
+    // Keyed by canonical u.
     mutable std::map<crypto::Limbs<4>, crypto::G2Prepared> attr_prep;
-    mutable std::once_flag gen_pairing_once;
-    mutable crypto::GT gen_pairing;  // e(g, h), built on first use
   };
   const Precomp& precomp() const;
 
@@ -193,14 +181,6 @@ class Abs {
                                const std::vector<std::uint8_t>& msg,
                                const Policy& predicate, const Signature& sig,
                                Rng* rng, BatchAccumulator* acc);
-
-  // The pre-engine verifier (on-the-fly MultiPairing, no cached G2 tables).
-  // Kept as the same-run baseline for benches and as a differential oracle
-  // for tests, mirroring MillerLoopGeneric's role in the crypto layer.
-  static bool VerifyUnprepared(const VerifyKey& mvk,
-                               const std::vector<std::uint8_t>& msg,
-                               const Policy& predicate, const Signature& sig,
-                               bool exact = false);
 
   // ABS.Relax (Algorithm 2): derives a signature on ∨_{a∈relax_to} a from a
   // signature on `predicate`. Fails iff predicate(𝔸 \ relax_to) = 1.

@@ -50,11 +50,8 @@ std::vector<std::uint8_t> BoxMessage(const Box& box) {
 }
 
 void WarmSignatureEngine(const VerifyKey& mvk) {
-  // precomp() builds the fixed-base and prepared-pairing tables;
-  // GeneratorPairing() additionally memoizes the constant e(g, h) so the
-  // first Verify pays no pairing-setup cost at all.
+  // precomp() builds the fixed-base and prepared-pairing tables.
   mvk.precomp();
-  mvk.GeneratorPairing();
 }
 
 policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,

@@ -49,7 +49,8 @@ std::vector<std::uint8_t> RecordMessageFromHash(const Point& key,
 std::vector<std::uint8_t> BoxMessage(const Box& box);
 
 // Forces construction of the verification key's fixed-base
-// scalar-multiplication tables (crypto/msm.h). Keys produced by Setup are
+// scalar-multiplication tables (crypto/msm.h) and prepared-pairing line
+// tables (crypto/pairing_prepared.h). Keys produced by Setup are
 // already warm; call this once for keys received over the wire so the first
 // signature operation does not pay the table build.
 void WarmSignatureEngine(const VerifyKey& mvk);

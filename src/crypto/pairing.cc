@@ -1,7 +1,7 @@
 #include "crypto/pairing.h"
 
 #include "crypto/bigint.h"
-#include "crypto/msm.h"
+#include "crypto/pairing_prepared.h"
 
 namespace apqa::crypto {
 
@@ -115,45 +115,6 @@ GT MillerLoopGeneric(const G1& p, const G2& q) {
   return f.Conjugate();
 }
 
-GT MillerLoop(const G1& p, const G2& q) {
-  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
-
-  Fp xp, yp;
-  p.ToAffine(&xp, &yp);
-  Fp2 xq, yq;
-  q.ToAffine(&xq, &yq);
-
-  // Affine twisted-coordinate loop: slopes live in Fp2; lines are sparse.
-  // Each line value on the M-twist, multiplied through by w^3 (an Fp4
-  // element, killed by the final exponentiation), is
-  //   l = (lambda*x_T - y_T) + (-lambda*x_P) w^2 + (y_P) w^3
-  // and is folded into f with the dedicated sparse product.
-  Fp2 xt = xq, yt = yq;
-  Fp2 yp2{yp, Fp::Zero()};
-  Fp12 f = Fp12::One();
-  int msb = 63;
-  while (!((kBlsParamAbs >> msb) & 1)) --msb;
-  for (int i = msb - 1; i >= 0; --i) {
-    // Tangent at T.
-    Fp2 xt2 = xt.Square();
-    Fp2 lambda = (xt2 + xt2 + xt2) * (yt + yt).Inverse();
-    f = f.Square().MulBySparseLine(lambda * xt - yt, lambda.MulByFp(-xp), yp2);
-    Fp2 x3 = lambda.Square() - xt - xt;
-    yt = lambda * (xt - x3) - yt;
-    xt = x3;
-    if ((kBlsParamAbs >> i) & 1) {
-      // Chord through T and Q.
-      Fp2 lam2 = (yq - yt) * (xq - xt).Inverse();
-      f = f.MulBySparseLine(lam2 * xt - yt, lam2.MulByFp(-xp), yp2);
-      Fp2 x3a = lam2.Square() - xt - xq;
-      yt = lam2 * (xt - x3a) - yt;
-      xt = x3a;
-    }
-  }
-  // u < 0: conjugate.
-  return f.Conjugate();
-}
-
 namespace {
 
 // f^x for the (negative) BLS parameter x = -kBlsParamAbs, valid only in the
@@ -210,76 +171,10 @@ GT FinalExponentiationGeneric(const GT& f) {
   return t.PowCyclotomic(std::span<const u64>(e.data(), e.size()));
 }
 
-GT Pairing(const G1& p, const G2& q) {
-  return FinalExponentiation(MillerLoop(p, q));
-}
+GT Pairing(const G1& p, const G2& q) { return MultiPairing({{p, q}}); }
 
 GT MultiPairing(const std::vector<std::pair<G1, G2>>& pairs) {
-  // Run all Miller loops in lockstep: every pair follows the same
-  // doubling/addition schedule (the bits of |u|), so the per-step affine
-  // slope denominators — 2*y_T on a doubling, x_Q - x_T on an addition —
-  // can be merged into a single Fp2 inversion via Montgomery's trick.
-  // Inputs are batch-normalized to affine the same way (one Fp inversion
-  // for the G1 side, one Fp2 inversion for the G2 side).
-  std::vector<G1> ps;
-  std::vector<G2> qs;
-  ps.reserve(pairs.size());
-  qs.reserve(pairs.size());
-  for (const auto& [p, q] : pairs) {
-    if (p.IsInfinity() || q.IsInfinity()) continue;  // e(P, O) = e(O, Q) = 1
-    ps.push_back(p);
-    qs.push_back(q);
-  }
-  const std::size_t n = ps.size();
-  if (n == 0) return GT::One();
-  BatchToAffine<Fp>(std::span<G1>(ps));
-  BatchToAffine<Fp2>(std::span<G2>(qs));
-
-  std::vector<Fp> neg_xp(n);
-  std::vector<Fp2> yp2(n), xq(n), yq(n), xt(n), yt(n), den(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    neg_xp[k] = -ps[k].x;
-    yp2[k] = Fp2{ps[k].y, Fp::Zero()};
-    xq[k] = qs[k].x;
-    yq[k] = qs[k].y;
-    xt[k] = xq[k];
-    yt[k] = yq[k];
-  }
-
-  Fp12 f = Fp12::One();
-  int msb = 63;
-  while (!((kBlsParamAbs >> msb) & 1)) --msb;
-  for (int i = msb - 1; i >= 0; --i) {
-    f = f.Square();
-    // Doubling step for every running point T.
-    for (std::size_t k = 0; k < n; ++k) den[k] = yt[k] + yt[k];
-    BatchInverse(den.data(), n);
-    for (std::size_t k = 0; k < n; ++k) {
-      Fp2 xt2 = xt[k].Square();
-      Fp2 lambda = (xt2 + xt2 + xt2) * den[k];
-      f = f.MulBySparseLine(lambda * xt[k] - yt[k], lambda.MulByFp(neg_xp[k]),
-                            yp2[k]);
-      Fp2 x3 = lambda.Square() - xt[k] - xt[k];
-      yt[k] = lambda * (xt[k] - x3) - yt[k];
-      xt[k] = x3;
-    }
-    if ((kBlsParamAbs >> i) & 1) {
-      // Addition step T += Q for every pair.
-      for (std::size_t k = 0; k < n; ++k) den[k] = xq[k] - xt[k];
-      BatchInverse(den.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        Fp2 lambda = (yq[k] - yt[k]) * den[k];
-        f = f.MulBySparseLine(lambda * xt[k] - yt[k],
-                              lambda.MulByFp(neg_xp[k]), yp2[k]);
-        Fp2 x3 = lambda.Square() - xt[k] - xq[k];
-        yt[k] = lambda * (xt[k] - x3) - yt[k];
-        xt[k] = x3;
-      }
-    }
-  }
-  // u < 0: conjugate (the product of per-pair conjugates equals the
-  // conjugate of the lockstep product).
-  return FinalExponentiation(f.Conjugate());
+  return MultiPairingPrepared({}, pairs);
 }
 
 }  // namespace apqa::crypto

@@ -1,9 +1,12 @@
 // Optimal ate pairing e : G1 x G2 -> GT for BLS12-381.
 //
-// The Miller loop is computed over the untwisted image of G2 in E(Fp12) with
-// affine line functions — a deliberately simple, easily-audited formulation.
-// Products of pairings share a single final exponentiation via
-// `MultiPairing`, which is the dominant cost saver for ABS verification.
+// Every pairing in the library is evaluated by one engine: the lockstep
+// Miller loop over prepared line tables in crypto/pairing_prepared.h,
+// followed by the shared `FinalExponentiation`. `Pairing` and
+// `MultiPairing` are thin entry points into it for callers whose G2 points
+// are not cached; products of pairings share a single final exponentiation.
+// `MillerLoopGeneric` and `FinalExponentiationGeneric` are the deliberately
+// simple, easily-audited oracles the engine is tested against.
 #ifndef APQA_CRYPTO_PAIRING_H_
 #define APQA_CRYPTO_PAIRING_H_
 
@@ -17,14 +20,11 @@ namespace apqa::crypto {
 
 using GT = Fp12;
 
-// Miller loop f_{|u|,Q}(P), conjugated for the negative curve parameter.
-// Returns GT::One() if either input is infinity (so that degenerate terms
-// drop out of pairing products).
-GT MillerLoop(const G1& p, const G2& q);
-
-// Generic reference Miller loop over the untwisted image of G2 in E(Fp12).
-// Slower than MillerLoop (which works on the twist with Fp2 line
-// arithmetic); kept for cross-validation.
+// Generic reference Miller loop f_{|u|,Q}(P) over the untwisted image of G2
+// in E(Fp12) with affine line functions, conjugated for the negative curve
+// parameter. GT::One() if either input is infinity. Test/bench oracle only:
+// much slower than the prepared engine, which works on the twist with Fp2
+// line arithmetic.
 GT MillerLoopGeneric(const G1& p, const G2& q);
 
 // Final exponentiation. Computes f^(3 (p^12 - 1) / r) via the BLS12
@@ -42,10 +42,11 @@ GT FinalExponentiationGeneric(const GT& f);
 // e(p, q).
 GT Pairing(const G1& p, const G2& q);
 
-// prod_i e(p_i, q_i) with one shared final exponentiation. The Miller loops
-// run in lockstep so that each doubling/addition step merges the per-pair
-// affine-slope inversions into a single batched inversion (Montgomery's
-// trick), and the inputs are affine-normalized with one inversion per side.
+// prod_i e(p_i, q_i) with one shared final exponentiation: every G2 point
+// gets a fresh inversion-free line table and all pairs walk one lockstep
+// Miller loop (MultiPairingPrepared with only fresh pairs). Pairs with an
+// identity side are skipped; if every pair is skipped the result is
+// GT::One().
 GT MultiPairing(const std::vector<std::pair<G1, G2>>& pairs);
 
 }  // namespace apqa::crypto

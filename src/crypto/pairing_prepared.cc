@@ -28,8 +28,8 @@ G2Prepared::G2Prepared(const G2& q) {
 
   // Homogeneous projective running point T = (X : Y : Z), x = X/Z, y = Y/Z.
   // The step formulas below are inversion-free; each stored line differs
-  // from the affine line MillerLoop would compute by an Fp2 scale factor
-  // (-2YZ on a doubling, X - x_Q Z on an addition), which the final
+  // from the affine twisted chord/tangent line by an Fp2 scale factor (-2YZ
+  // on a doubling, X - x_Q Z on an addition), which the final
   // exponentiation kills: gcd of the hard-part exponent with p^2 - 1 is 1.
   Fp2 x = xq, y = yq, z = Fp2::One();
   static const Fp kTwoInv = (Fp::One() + Fp::One()).Inverse();
@@ -77,30 +77,8 @@ G2Prepared::G2Prepared(const G2& q) {
   }
 }
 
-GT MillerLoopPrepared(const G1& p, const G2Prepared& q) {
-  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
-  Fp xp, yp;
-  p.ToAffine(&xp, &yp);
-
-  const auto& cs = q.coeffs();
-  Fp12 f = Fp12::One();
-  std::size_t idx = 0;
-  const int msb = ParamMsb();
-  for (int i = msb - 1; i >= 0; --i) {
-    f = f.Square();
-    FoldLine(&f, cs[idx++], xp, yp);
-    if ((kBlsParamAbs >> i) & 1) FoldLine(&f, cs[idx++], xp, yp);
-  }
-  // u < 0: conjugate.
-  return f.Conjugate();
-}
-
-GT PairWith(const G1& p, const G2Prepared& q) {
-  return FinalExponentiation(MillerLoopPrepared(p, q));
-}
-
-GT MultiPairingPrepared(const std::vector<PreparedPair>& prepared,
-                        const std::vector<std::pair<G1, G2>>& fresh) {
+GT MillerLoopPrepared(const std::vector<PreparedPair>& prepared,
+                      const std::vector<std::pair<G1, G2>>& fresh) {
   // Fresh G2 points get a locally-built table so every pair walks the same
   // coefficient schedule; reserve up front so &local.back() stays stable.
   std::vector<G2Prepared> local;
@@ -144,7 +122,16 @@ GT MultiPairingPrepared(const std::vector<PreparedPair>& prepared,
     }
   }
   // u < 0: conjugate once for the lockstep product.
-  return FinalExponentiation(f.Conjugate());
+  return f.Conjugate();
+}
+
+GT MultiPairingPrepared(const std::vector<PreparedPair>& prepared,
+                        const std::vector<std::pair<G1, G2>>& fresh) {
+  return FinalExponentiation(MillerLoopPrepared(prepared, fresh));
+}
+
+GT PairWith(const G1& p, const G2Prepared& q) {
+  return MultiPairingPrepared({{p, &q}});
 }
 
 }  // namespace apqa::crypto

@@ -9,14 +9,18 @@
 // with the sparse Fp12 product; no G2 arithmetic and no Fp2 inversions
 // remain on the per-pairing path.
 //
+// This is the library's only pairing evaluation: `Pairing` and
+// `MultiPairing` (crypto/pairing.h) hand their G2 points to
+// `MultiPairingPrepared` as fresh pairs, which get a table built on the
+// spot, so cached and uncached G2 points walk the same Miller loop.
+//
 // Thread-safety contract: a fully-constructed `G2Prepared` is immutable and
 // safe to share read-only across threads without synchronization. All
 // functions here only read the tables.
 //
-// Identity semantics (matching `Pairing`/`MultiPairing`): a pair whose G1
-// side is infinity or whose G2 side was prepared from infinity contributes
-// the neutral element — `PairWith` returns GT::One() and
-// `MultiPairingPrepared` skips the pair.
+// Identity semantics: a pair whose G1 side is infinity or whose G2 side was
+// prepared from infinity contributes the neutral element — `PairWith`
+// returns GT::One() and `MultiPairingPrepared` skips the pair.
 #ifndef APQA_CRYPTO_PAIRING_PREPARED_H_
 #define APQA_CRYPTO_PAIRING_PREPARED_H_
 
@@ -51,13 +55,6 @@ class G2Prepared {
   std::vector<G2LineCoeffs> coeffs_;
 };
 
-// Miller loop f_{|u|,Q}(P) from cached coefficients (conjugated for the
-// negative curve parameter). GT::One() if either side is the identity.
-GT MillerLoopPrepared(const G1& p, const G2Prepared& q);
-
-// e(p, q) from cached coefficients.
-GT PairWith(const G1& p, const G2Prepared& q);
-
 // One pairing input whose G2 side is prepared. The pointed-to table must
 // outlive the call; it is only read.
 struct PreparedPair {
@@ -65,13 +62,22 @@ struct PreparedPair {
   const G2Prepared* q;
 };
 
-// prod e(p_i, q_i) over prepared pairs plus optional on-the-fly `fresh`
-// pairs, with one shared final exponentiation. Fresh G2 points are prepared
-// internally (inversion-free), so mixing cached and per-query G2 points
-// costs no extra Fp2 inversions. Pairs with an identity side are skipped;
-// if every pair is skipped the result is GT::One().
+// The lockstep Miller loop prod_i f_{|u|,Q_i}(P_i) over prepared pairs plus
+// optional on-the-fly `fresh` pairs (conjugated for the negative curve
+// parameter), before the final exponentiation. One shared Fp12 squaring per
+// step; every pair folds its cached line with the sparse product. Fresh G2
+// points are prepared internally (inversion-free), so mixing cached and
+// per-query G2 points costs no extra Fp2 inversions. Pairs with an identity
+// side are skipped; if every pair is skipped the result is GT::One().
+GT MillerLoopPrepared(const std::vector<PreparedPair>& prepared,
+                      const std::vector<std::pair<G1, G2>>& fresh = {});
+
+// prod e(p_i, q_i): FinalExponentiation(MillerLoopPrepared(prepared, fresh)).
 GT MultiPairingPrepared(const std::vector<PreparedPair>& prepared,
                         const std::vector<std::pair<G1, G2>>& fresh = {});
+
+// e(p, q) from cached coefficients.
+GT PairWith(const G1& p, const G2Prepared& q);
 
 }  // namespace apqa::crypto
 

@@ -97,7 +97,7 @@ void SpServer::SessionLoop(const std::shared_ptr<Transport>& t) {
   while (!stopping_.load()) {
     RecvStatus st = t->Recv(&buf, opts_.recv_poll_ms);
     if (st == RecvStatus::kTimeout) continue;
-    if (st == RecvStatus::kClosed || st == RecvStatus::kError) return;
+    if (st == RecvStatus::kClosed || st == RecvStatus::kError) break;
     common::Untrusted<Frame> frame;
     if (DecodeFrame(buf, &frame) != FrameDecodeError::kOk ||
         !IsRequestType(FrameType(frame))) {
@@ -106,6 +106,11 @@ void SpServer::SessionLoop(const std::shared_ptr<Transport>& t) {
     }
     HandleFrame(t, std::move(frame));
   }
+  // Nobody reads this transport any more (peer gone, desynchronized stream
+  // or shutdown): close it so the peer sees kClosed at once instead of
+  // writing into an undrained socket until its deadline. Close is
+  // idempotent, so Stop() closing every transport again is harmless.
+  t->Close();
 }
 
 void SpServer::HandleFrame(const std::shared_ptr<Transport>& t,

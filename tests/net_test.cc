@@ -1451,6 +1451,43 @@ TEST(TcpTransportTest, ClosedConnectionSurfacesAsTransportClosed) {
   EXPECT_EQ(r.status, ClientStatus::kTransportClosed);
 }
 
+// A bad-magic frame desynchronizes the stream, so the server's session stops
+// reading it. The session must close the connection on the way out: the
+// client's next query then ends kTransportClosed at once instead of writing
+// into a socket nobody drains until its whole deadline is spent.
+TEST(TcpTransportTest, SessionClosesConnectionAfterBadMagicFrame) {
+  ServiceEnv& env = ServiceEnv::Get();
+  TcpListener listener(0);
+  ASSERT_TRUE(listener.ok());
+  SpServerOptions opts;
+  opts.recv_poll_ms = 20;
+  SpServer server(env.sp.get(), opts);
+  std::thread acceptor([&] {
+    auto conn = listener.Accept(10000);
+    if (conn != nullptr) server.AttachTransport(std::move(conn));
+  });
+  std::shared_ptr<Transport> transport =
+      SocketTransport::Connect("127.0.0.1", listener.port(), 2000);
+  ASSERT_NE(transport, nullptr);
+  acceptor.join();
+
+  std::vector<std::uint8_t> bad = EncodeFrame(MakeTestFrame());
+  bad[0] ^= 0xff;
+  ASSERT_TRUE(transport->Send(bad));
+
+  ClientOptions copts = FastClientOptions();
+  copts.deadline_ms = 10000;
+  copts.attempt_timeout_ms = 2000;
+  ApqaClient client(env.owner->keys(), env.creds_c, transport, copts);
+  auto t0 = std::chrono::steady_clock::now();
+  ClientResult r = client.Equality(Point{4}, nullptr, nullptr);
+  auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_EQ(r.status, ClientStatus::kTransportClosed) << r.ToString();
+  EXPECT_LT(waited.count(), copts.deadline_ms / 2);
+  server.Stop();
+}
+
 // A poll window that expires mid-frame must not cost the frame: the peer
 // writes one frame in three pieces — split inside the header and inside the
 // payload — pausing longer than the receiver's timeout after each. Recv
