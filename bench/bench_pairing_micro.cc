@@ -14,13 +14,13 @@
 //   multipairing  — MultiPairing (a fresh table per G2 input) vs.
 //                   MultiPairingPrepared with every G2 input served from a
 //                   cached table.
-//   abs           — end-to-end ABS verify (Abs::Verify) on the prepared
-//                   engine.
+//   abs           — end-to-end ABS verify (Abs::Verify, a batch of one
+//                   signature) on the prepared engine.
 //   abs batch     — whole-batch BatchAccumulator verification of n
 //                   signatures sharing one final exponentiation.
-//   range vo      — user-side range-VO verification: the retained
-//                   per-signature path (serial and 4-thread pool) vs. the
-//                   whole-VO batch, plus the tampered-VO bisect blame path.
+//   range vo      — user-side range-VO verification: the serial exact
+//                   reference arm vs. the whole-VO batch, plus the
+//                   tampered-VO bisect blame path.
 //
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_pairing.json ./bench_pairing_micro  (or --json=PATH)
@@ -218,7 +218,7 @@ void BenchAbsBatchVerify(bool fast) {
       abs::BatchAccumulator acc(mvk);
       crypto::Rng wrng;
       for (std::size_t k = 0; k < n; ++k) {
-        abs::Abs::AccumulateVerify(mvk, msgs[k], pred, sigs[k], &wrng, &acc);
+        acc.Accumulate(msgs[k], pred, sigs[k], &wrng);
       }
       Sink(acc.Check());
     });
@@ -229,7 +229,7 @@ void BenchAbsBatchVerify(bool fast) {
 }
 
 void BenchRangeVoVerify(bool fast) {
-  std::printf("range-VO verification: per-signature vs whole-VO batch\n");
+  std::printf("range-VO verification: exact reference vs whole-VO batch\n");
   core::Domain domain{/*dims=*/1, /*bits=*/6};
   core::DataOwner owner(policy::RoleSet{"RoleA", "RoleB"}, domain, 20260807);
   std::vector<core::Record> records;
@@ -244,29 +244,24 @@ void BenchRangeVoVerify(bool fast) {
   const core::SystemKeys& keys = owner.keys();
   core::Box range{core::Point{0}, core::Point{static_cast<std::uint32_t>(n - 1)}};
   core::Vo vo = sp.RangeQuery(range, creds.roles);
-  core::ThreadPool pool(4);
 
-  auto verify = [&](const core::Vo& v, core::ThreadPool* p) {
+  auto verify = [&](const core::Vo& v) {
     Sink(core::VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                               keys.universe, v, nullptr,
-                               /*exact_pairings=*/false, p));
+                               keys.universe, v, nullptr));
   };
 
-  // The serial/pool rows pin the retained per-signature path so the batched
-  // row below has a same-run baseline (and the trajectory keeps its
-  // pre-batching series).
+  // The serial row pins the exact reference arm (one per-column pairing
+  // product per equation, per signature) so the batched row below has a
+  // same-run baseline.
   int iters = fast ? 1 : 5;
-  double serial, pooled;
+  double serial;
   {
-    core::ScopedPerSignatureVerify per_signature;
-    serial = TimeMs(iters, [&] { verify(vo, nullptr); });
-    Report("range_vo_verify_serial", serial);
-    pooled = TimeMs(iters, [&] { verify(vo, &pool); });
-    Report("range_vo_verify_pool4", pooled);
+    core::ScopedPerSignatureVerify reference;
+    serial = TimeMs(iters, [&] { verify(vo); });
   }
-  Speedup("range_vo_pool_speedup", serial, pooled);
+  Report("range_vo_verify_serial", serial);
 
-  double batched = TimeMs(iters, [&] { verify(vo, nullptr); });
+  double batched = TimeMs(iters, [&] { verify(vo); });
   Report("range_vo_verify_batched", batched);
   Speedup("range_vo_batch_speedup", serial, batched);
 
@@ -279,7 +274,7 @@ void BenchRangeVoVerify(bool fast) {
       break;
     }
   }
-  double bisect = TimeMs(iters, [&] { verify(tampered, nullptr); });
+  double bisect = TimeMs(iters, [&] { verify(tampered); });
   Report("batch_bisect_tamper_1", bisect);
 }
 

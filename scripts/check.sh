@@ -14,8 +14,10 @@
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
 #      crypto suites again under APQA_FORCE_PORTABLE=1 so the portable
 #      Montgomery/no-accel arm of the runtime dispatch stays covered (the
-#      pairing suites — Pairing*, MultiPairing* — and CpAbeTest, whose
-#      Decrypt is the one MultiPairing caller outside ABS), then
+#      pairing suites — Pairing*, MultiPairing* — CpAbeTest, whose Decrypt
+#      is the one MultiPairing caller outside ABS, and AbsTest, since every
+#      signature check runs through MsmShared and the batch accumulator),
+#      then
 #      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
 #      notice when the clang tools are not installed — the default
@@ -27,7 +29,9 @@
 #   6. TSan build of the thread pool and the parallel SP/ADS paths; TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
 #      (rank-violation detection + the service rank-order regression) with
-#      an explicit timeout, plus the crash-recovery/failover suite
+#      an explicit timeout, the query service's session handling (net_test,
+#      including the ended-session reaping test), plus the crash-recovery/
+#      failover suite
 #      (recovery_test: seeded disk-fault chaos, durable-server restart,
 #      byzantine-replica quarantine) whose server drain/snapshot and
 #      failover paths are the newest thread-shaped code in the tree
@@ -37,8 +41,8 @@
 #      cover the same ladders
 #   8. perf smoke: one fast-mode run of bench_pairing_micro with the JSON
 #      sink enabled; fails if the expected rows never reach the file or if
-#      whole-VO batched verification is not at least 2x the retained
-#      per-signature path (range_vo_verify_batched <= 0.5x
+#      whole-VO batched verification is not at least 2x the serial exact
+#      reference arm (range_vo_verify_batched <= 0.5x
 #      range_vo_verify_serial); then one fast-mode run of bench_msm_micro
 #      that must emit the mont_mul_{portable,accel} kernel rows, the
 #      mont_kernel_bitmatch differential row (the bench aborts on any
@@ -80,7 +84,7 @@ echo "=== ctest (forced-portable kernels) ==="
 # what normally executes. The bitmatch differential inside field_test then
 # proves the two arms agree representation-for-representation.
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CpAbe)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CpAbe|Abs)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
@@ -167,8 +171,9 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/thread_pool_test \
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/core_test \
   --gtest_filter='ParallelPathTest.*' --gtest_brief=1
 # The query service is the most thread-shaped code in the tree: session
-# threads, a bounded pool, chaos-injected retries, drain-then-stop. The
-# update/query interleaving chaos test runs separately below.
+# threads (reaped on attach once ended, joined on stop), a bounded pool,
+# chaos-injected retries, drain-then-stop. The update/query interleaving
+# chaos test runs separately below.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/net_test \
   --gtest_filter='-UpdateChaosTest.*' --gtest_brief=1
 # Dynamic-maintenance interleavings: a DO pushes epoch advances while
@@ -206,7 +211,7 @@ PERF_JSON=$(mktemp /tmp/BENCH_pairing_smoke.XXXXXX.json)
 rm -f "$PERF_JSON"
 APQA_BENCH_FAST=1 APQA_BENCH_JSON="$PERF_JSON" \
   ./build/bench/bench_pairing_micro >/dev/null
-for row in pairing_prepared abs_verify_prepared_len12 range_vo_verify_pool4 \
+for row in pairing_prepared abs_verify_prepared_len12 \
            range_vo_verify_serial range_vo_verify_batched \
            abs_batch_verify_n8 batch_bisect_tamper_1; do
   if ! grep -q "\"row\":\"$row\"" "$PERF_JSON"; then
@@ -214,7 +219,7 @@ for row in pairing_prepared abs_verify_prepared_len12 range_vo_verify_pool4 \
     exit 1
   fi
 done
-# Whole-VO batching must beat the retained per-signature path by >= 2x even
+# Whole-VO batching must beat the serial exact reference arm by >= 2x even
 # in the fast configuration (the full bench measures >= ~9x; the loose gate
 # keeps the smoke robust to noisy single-iteration timings).
 python3 - "$PERF_JSON" <<'EOF'

@@ -1,5 +1,6 @@
 #include "abs/abs.h"
 
+#include "abs/batch_verify.h"
 #include "crypto/serde.h"
 #include "crypto/sha256.h"
 
@@ -258,6 +259,14 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
 
 bool Abs::Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
                  const Policy& predicate, const Signature& sig, bool exact) {
+  if (!exact) {
+    // The folded check is a batch of one signature: BatchAccumulator holds
+    // the only implementation of the small-exponent-folded equation.
+    Rng rng;  // fresh OS-seeded randomness for the batching weights
+    BatchAccumulator acc(mvk);
+    return acc.Accumulate(msg, predicate, sig, &rng) && acc.Check();
+  }
+
   Msp msp = BuildMsp(predicate);
   std::size_t rows = msp.Rows(), cols = msp.Cols();
   if (sig.s.size() != rows || sig.p.size() != cols) return false;
@@ -275,71 +284,27 @@ bool Abs::Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
     xi[i] = &mvk.AttributeBasePrepared(RoleScalar(msp.row_labels[i]));
   }
 
-  if (exact) {
-    // e(W, A0) == e(Y, h0)
-    if (!crypto::MultiPairingPrepared(
-             {{sig.w, &pc.a0_prep}, {-sig.y, &pc.h0_prep}})
-             .IsOne()) {
+  // e(W, A0) == e(Y, h0)
+  if (!crypto::MultiPairingPrepared(
+           {{sig.w, &pc.a0_prep}, {-sig.y, &pc.h0_prep}})
+           .IsOne()) {
+    return false;
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    std::vector<crypto::PreparedPair> pairs;
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (msp.m[i][j] == 1) {
+        pairs.push_back({sig.s[i], xi[i]});
+      } else if (msp.m[i][j] == -1) {
+        pairs.push_back({-sig.s[i], xi[i]});
+      }
+    }
+    if (j == 0) pairs.push_back({-sig.y, &pc.h_prep});
+    if (!crypto::MultiPairingPrepared(pairs, {{-cg, sig.p[j]}}).IsOne()) {
       return false;
     }
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::vector<crypto::PreparedPair> pairs;
-      for (std::size_t i = 0; i < rows; ++i) {
-        if (msp.m[i][j] == 1) {
-          pairs.push_back({sig.s[i], xi[i]});
-        } else if (msp.m[i][j] == -1) {
-          pairs.push_back({-sig.s[i], xi[i]});
-        }
-      }
-      if (j == 0) pairs.push_back({-sig.y, &pc.h_prep});
-      if (!crypto::MultiPairingPrepared(pairs, {{-cg, sig.p[j]}}).IsOne()) {
-        return false;
-      }
-    }
-    return true;
   }
-
-  // Batched verification: fold the W-equation (weight delta) and all t
-  // column equations (weights rho_j) into a single pairing product. The
-  // batching weights stay plain Fr (variable-time folds): they are drawn
-  // fresh after the signature is fixed and protect only this call's
-  // soundness, so leaking them post-hoc is harmless — quarantined in
-  // DESIGN.md.
-  //
-  // Small-exponent batching (Bellare–Garay–Rabin): 128-bit nonzero weights
-  // keep the per-call forgery bound at 2^-128 while halving every weight
-  // multiplication, since the wNAF ladder length tracks the scalar
-  // magnitude.
-  Rng rng;  // fresh OS-seeded randomness for the batching weights
-  Fr delta = internal::SmallExponentWeight(&rng);
-  std::vector<Fr> rho(cols);
-  for (auto& r : rho) r = internal::SmallExponentWeight(&rng);
-
-  std::vector<crypto::PreparedPair> pairs;
-  pairs.reserve(rows + 3);
-  // sum_j rho_j * [column j equation]:
-  //   prod_i e(S_i, X_i)^{sum_j M_ij rho_j}
-  //     == e(Y, h)^{rho_0} * e(cg, sum_j rho_j P_j)
-  // The fold weight is applied on the G1 side (e(S_i^{c_i}, X_i)) where a
-  // scalar multiplication is ~3x cheaper than in G2.
-  for (std::size_t i = 0; i < rows; ++i) {
-    Fr ci = Fr::Zero();
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (msp.m[i][j] == 1) {
-        ci = ci + rho[j];
-      } else if (msp.m[i][j] == -1) {
-        ci = ci - rho[j];
-      }
-    }
-    if (!ci.IsZero()) pairs.push_back({sig.s[i].ScalarMul(ci), xi[i]});
-  }
-  G2 psum = crypto::G2Msm(std::span<const G2>(sig.p.data(), cols),
-                          std::span<const Fr>(rho.data(), cols));
-  pairs.push_back({-sig.y.ScalarMul(rho[0]), &pc.h_prep});
-  // delta * [e(W, A0) == e(Y, h0)]
-  pairs.push_back({sig.w.ScalarMul(delta), &pc.a0_prep});
-  pairs.push_back({-sig.y.ScalarMul(delta), &pc.h0_prep});
-  return crypto::MultiPairingPrepared(pairs, {{-cg, psum}}).IsOne();
+  return true;
 }
 
 std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,

@@ -123,8 +123,6 @@ struct Signature {
 // Maps a role name to its attribute scalar (SHA-256 into Fr).
 Fr RoleScalar(const std::string& role);
 
-class BatchAccumulator;
-
 namespace internal {
 
 // mu = H(tau || msg || epoch_le8) as an Fr scalar. The epoch rides inside
@@ -162,25 +160,17 @@ class Abs {
                                        const Policy& predicate, Rng* rng,
                                        std::uint64_t epoch = 0);
 
-  // ABS.Verify. `exact` checks every span-program column equation separately
-  // (slower); the default folds them with random weights into a single
-  // multi-pairing (standard batching, sound up to 2^-128). Both paths run
-  // on the prepared-pairing engine: line tables for the fixed mvk
-  // components and memoized attribute bases are reused across calls.
+  // ABS.Verify. The default check is a batch of one: it accumulates `sig`
+  // into a BatchAccumulator (abs/batch_verify.h), which folds the W equation
+  // and every span-program column equation under fresh 128-bit weights into
+  // one multi-pairing (sound up to 2^-128). `exact` is the reference arm: it
+  // checks the W equation and each column equation as its own pairing
+  // product and shares no folding code with the default. Both run on the
+  // prepared-pairing engine: line tables for the fixed mvk components and
+  // memoized attribute bases are reused across calls.
   static bool Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
                      const Policy& predicate, const Signature& sig,
                      bool exact = false);
-
-  // Whole-VO batched verification: performs the same structural checks as
-  // Verify, then accumulates this signature's pairing equations — weighted
-  // with fresh 128-bit small exponents from `rng` — into `acc` instead of
-  // evaluating them. Returns false (leaving `acc` untouched) on a structural
-  // mismatch; a true return means the signature is valid iff the
-  // accumulator's whole product later checks out (BatchAccumulator::Check).
-  static bool AccumulateVerify(const VerifyKey& mvk,
-                               const std::vector<std::uint8_t>& msg,
-                               const Policy& predicate, const Signature& sig,
-                               Rng* rng, BatchAccumulator* acc);
 
   // ABS.Relax (Algorithm 2): derives a signature on ∨_{a∈relax_to} a from a
   // signature on `predicate`. Fails iff predicate(𝔸 \ relax_to) = 1.

@@ -22,6 +22,9 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
   // Fresh per-signature weights: delta for the W-equation, rho_j for each
   // column equation. Independence across signatures is what makes the grand
   // product a sound random linear combination — see the header comment.
+  // The weights stay plain Fr (variable-time folds): they are drawn after
+  // the signature is fixed and protect only this batch's soundness, so
+  // leaking them post-hoc is harmless — quarantined in DESIGN.md.
   Fr delta = internal::SmallExponentWeight(rng);
   std::vector<Fr> rho(cols);
   for (auto& r : rho) r = internal::SmallExponentWeight(rng);
@@ -58,14 +61,17 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
     p_rho_.push_back(rho[j]);
     p_murho_.push_back(mu * rho[j]);
   }
+  mu_ = mu;
   ++count_;
   return true;
 }
 
 bool BatchAccumulator::Check(const ParallelRunner& runner) {
   const VerifyKey::Precomp& pc = mvk_.precomp();
+  const bool single = count_ == 1;
   // The two multi-set folds are independent of each other (and of the
   // per-base MSMs IsOne runs), so fan them out when a runner is supplied.
+  // A single signature needs only the rho fold of its P_j.
   std::vector<G1> yf;
   std::vector<G2> pf;
   auto fold = [&](std::size_t t) {
@@ -75,8 +81,9 @@ bool BatchAccumulator::Check(const ParallelRunner& runner) {
                                std::span<const std::vector<Fr>>(sets, 2));
     } else {
       std::vector<Fr> sets[] = {std::move(p_rho_), std::move(p_murho_)};
-      pf = crypto::G2MsmShared(std::span<const G2>(p_pts_),
-                               std::span<const std::vector<Fr>>(sets, 2));
+      pf = crypto::G2MsmShared(
+          std::span<const G2>(p_pts_),
+          std::span<const std::vector<Fr>>(sets, single ? 1 : 2));
     }
   };
   if (runner) {
@@ -85,23 +92,15 @@ bool BatchAccumulator::Check(const ParallelRunner& runner) {
     fold(0);
     fold(1);
   }
-  if (!yf.empty()) {
-    acc_.Add(&pc.h_prep, yf[0], Fr::One());
-    acc_.Add(&pc.h0_prep, yf[1], Fr::One());
-  }
-  if (!pf.empty()) {
+  acc_.Add(&pc.h_prep, yf[0], Fr::One());
+  acc_.Add(&pc.h0_prep, yf[1], Fr::One());
+  if (single) {
+    acc_.AddFresh(-internal::MessageBase(mvk_, mu_), pf[0]);
+  } else {
     acc_.AddFresh(-mvk_.c, pf[0]);
     acc_.AddFresh(-mvk_.g, pf[1]);
   }
   return acc_.IsOne(runner);
-}
-
-bool Abs::AccumulateVerify(const VerifyKey& mvk,
-                           const std::vector<std::uint8_t>& msg,
-                           const Policy& predicate, const Signature& sig,
-                           Rng* rng, BatchAccumulator* acc) {
-  (void)mvk;  // the accumulator is bound to its key at construction
-  return acc->Accumulate(msg, predicate, sig, rng);
 }
 
 }  // namespace apqa::abs

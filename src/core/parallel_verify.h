@@ -18,10 +18,10 @@
 //   5. the batch failure if any (it precedes the structural failure in the
 //      sequential order), else the structural verdict.
 //
-// By default the batch folds ALL queued signatures into one
-// abs::BatchAccumulator — one G1 MSM per shared prepared G2 base, two
-// shared message-side G2 MSMs, and a single final exponentiation for the
-// entire VO — instead of running one multi-pairing per signature.
+// The batch folds ALL queued signatures, however many, into one
+// abs::BatchAccumulator — the library's one implementation of the folded
+// ABS equation: one G1 MSM per shared prepared G2 base, the message-side G2
+// MSMs, and a single final exponentiation for the entire VO.
 //
 // Blame stays byte-identical to the sequential verifier. Jobs are queued in
 // the exact order the sequential verifier would have evaluated them, and
@@ -33,21 +33,19 @@
 //     each over ~half the remaining range) recovers the lowest
 //     cryptographically failing index — same index the sequential verifier
 //     would return, up to the 2^-128 batching soundness bound.
-// The per-signature path is retained as the diagnostic fallback: exact-mode
-// callers, single-job batches, and anything under a ScopedPerSignatureVerify
-// guard run one Abs::Verify per job (serially short-circuiting, or fanned
-// out over the ThreadPool with an atomic min-failure index so workers stop
-// once every job below the best-known failure has been claimed).
+// The reference arm runs one exact Abs::Verify per job (every W and column
+// equation as its own pairing product) serially, stopping at the first
+// failure. Exact-mode callers and anything under a ScopedPerSignatureVerify
+// guard take it; it shares no folding code with the batch it checks.
 //
 // Thread-safety: jobs only read the VO, the verify key's prepared tables
 // (immutable once built; the attribute memo is mutex-guarded), and
-// per-call randomness. Pool workers write disjoint slots or claim jobs via
-// monotonic fetch_add, so the fan-out is TSan-clean by construction. Rows
-// are released on the calling thread after the batch has run.
+// per-call randomness. The batch's MSMs fan out over the pool with each task
+// writing a disjoint slot, so the fan-out is TSan-clean by construction.
+// Rows are released on the calling thread after the batch has run.
 #ifndef APQA_CORE_PARALLEL_VERIFY_H_
 #define APQA_CORE_PARALLEL_VERIFY_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -61,9 +59,9 @@
 
 namespace apqa::core {
 
-// RAII guard forcing SigBatch::FirstFailure onto the retained per-signature
-// path for the current thread. Used by benches (to keep measuring the
-// pre-batching baseline) and by tests comparing the two paths.
+// RAII guard forcing SigBatch::FirstFailure onto the exact reference arm for
+// the current thread. Used by benches (to keep measuring the pre-batching
+// baseline) and by tests comparing the two arms.
 class ScopedPerSignatureVerify {
  public:
   ScopedPerSignatureVerify() { ++depth_; }
@@ -125,23 +123,22 @@ class SigBatch {
 
   // Runs the queued checks; returns the lowest failing job index, or -1 if
   // all pass. Default: whole-VO batch with bisect blame recovery; exact
-  // mode, tiny batches, and ScopedPerSignatureVerify fall back to one
-  // verify per job.
+  // mode and ScopedPerSignatureVerify run the reference arm.
   std::ptrdiff_t FirstFailure(ThreadPool* pool) const {
-    const std::size_t n = jobs_.size();
-    if (exact_ || n <= 1 || ScopedPerSignatureVerify::Active()) {
-      return PerSignatureFirstFailure(pool);
+    if (exact_ || ScopedPerSignatureVerify::Active()) {
+      return ReferenceFirstFailure();
     }
 
     // Accumulate in sequential order until the first structural failure:
     // the sequential verifier never evaluates anything past it, so jobs
     // beyond `s` are irrelevant to blame and emission.
+    const std::size_t n = jobs_.size();
     abs::Rng rng;
     abs::BatchAccumulator acc(mvk_);
     std::size_t s = n;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!abs::Abs::AccumulateVerify(mvk_, jobs_[i].msg, *jobs_[i].policy,
-                                      *jobs_[i].sig, &rng, &acc)) {
+      if (!acc.Accumulate(jobs_[i].msg, *jobs_[i].policy, *jobs_[i].sig,
+                          &rng)) {
         s = i;
         break;
       }
@@ -170,10 +167,6 @@ class SigBatch {
     Release release;
   };
 
-  bool Check(const Job& j) const {
-    return abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig, exact_);
-  }
-
   static abs::BatchAccumulator::ParallelRunner MakeRunner(ThreadPool* pool) {
     if (pool == nullptr || pool->thread_count() <= 1) return {};
     return [pool](std::size_t n,
@@ -189,8 +182,7 @@ class SigBatch {
     abs::Rng rng;
     abs::BatchAccumulator acc(mvk_);
     for (std::size_t i = lo; i < hi; ++i) {
-      abs::Abs::AccumulateVerify(mvk_, jobs_[i].msg, *jobs_[i].policy,
-                                 *jobs_[i].sig, &rng, &acc);
+      acc.Accumulate(jobs_[i].msg, *jobs_[i].policy, *jobs_[i].sig, &rng);
     }
     return acc.Check(MakeRunner(pool));
   }
@@ -212,43 +204,16 @@ class SigBatch {
     return static_cast<std::ptrdiff_t>(lo);
   }
 
-  // Retained diagnostic fallback: one Abs::Verify per job. Serial when
-  // `pool` is null, single-threaded, or there is at most one job; the pool
-  // path tracks the lowest known failure in an atomic so workers stop as
-  // soon as every job below it has been claimed.
-  std::ptrdiff_t PerSignatureFirstFailure(ThreadPool* pool) const {
-    const std::size_t n = jobs_.size();
-    if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!Check(jobs_[i])) return static_cast<std::ptrdiff_t>(i);
+  // Reference arm: one exact Abs::Verify per job, serially, stopping at the
+  // first failure.
+  std::ptrdiff_t ReferenceFirstFailure() const {
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      const Job& j = jobs_[i];
+      if (!abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig, /*exact=*/true)) {
+        return static_cast<std::ptrdiff_t>(i);
       }
-      return -1;
     }
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> min_fail{n};
-    pool->ParallelFor(
-        static_cast<std::size_t>(pool->thread_count()), [&](std::size_t) {
-          for (;;) {
-            std::size_t i = next.fetch_add(1);
-            // fetch_add claims indices in increasing order and min_fail
-            // only ever decreases, so once a claim lands at or above the
-            // best-known failure every later claim will too: stop. Every
-            // index below the final min_fail was claimed before min_fail
-            // could have dropped past it, hence evaluated — the minimum is
-            // exact.
-            if (i >= n || i >= min_fail.load(std::memory_order_relaxed)) {
-              break;
-            }
-            if (!Check(jobs_[i])) {
-              std::size_t cur = min_fail.load(std::memory_order_relaxed);
-              while (i < cur && !min_fail.compare_exchange_weak(
-                                    cur, i, std::memory_order_relaxed)) {
-              }
-            }
-          }
-        });
-    std::size_t f = min_fail.load();
-    return f == n ? -1 : static_cast<std::ptrdiff_t>(f);
+    return -1;
   }
 
   const abs::VerifyKey& mvk_;

@@ -23,6 +23,7 @@ void PairingProductAccumulator::AddFresh(const G1& p, const G2& q) {
 }
 
 bool PairingProductAccumulator::IsOne(const ParallelRunner& runner) const {
+  if (terms_ == 0) return true;  // the empty product, no pairing work
   const std::size_t nb = buckets_.size();
   std::vector<G1> folded(nb);
   auto fold_one = [&](std::size_t t) {

@@ -36,8 +36,19 @@ SpServer::~SpServer() { Stop(); }
 bool SpServer::AttachTransport(std::shared_ptr<Transport> t) {
   std::lock_guard lock(sessions_mu_);
   if (draining_.load()) return false;
-  transports_.push_back(t);
-  session_threads_.emplace_back([this, t] { SessionLoop(t); });
+  // Reap ended sessions: their loop has returned and closed the transport,
+  // so the join is immediate and a long-running server holds a thread only
+  // for connections still open.
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->done->load()) {
+      it->thread.join();
+      it = sessions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  sessions_.emplace_back(this, std::move(t));
+  session_count_.store(sessions_.size());
   return true;
 }
 
@@ -64,15 +75,14 @@ void SpServer::Stop() {
   }
   // Phase 3: wake the sessions out of Recv and join them.
   stopping_.store(true);
-  std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<Transport>> transports;
+  std::vector<Session> sessions;
   {
     std::lock_guard lock(sessions_mu_);
-    threads.swap(session_threads_);
-    transports.swap(transports_);
+    sessions.swap(sessions_);
   }
-  for (auto& t : transports) t->Close();
-  for (auto& th : threads) th.join();
+  for (Session& s : sessions) s.transport->Close();
+  for (Session& s : sessions) s.thread.join();
+  session_count_.store(0);
   pool_.Stop();
   stopped_.store(true);
   stopped_.notify_all();
@@ -89,6 +99,7 @@ ServerStats SpServer::stats() const {
   s.malformed = malformed_.load();
   s.updates_applied = updates_applied_.load();
   s.updates_rejected = updates_rejected_.load();
+  s.sessions = session_count_.load();
   return s;
 }
 

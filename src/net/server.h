@@ -55,7 +55,8 @@ struct SpServerOptions {
   core::SpStateStore* state_store = nullptr;
 };
 
-// Monotonic counters; `accepted` splits exactly into served+expired+failed.
+// Monotonic counters, `accepted` splitting exactly into
+// served+expired+failed, plus the `sessions` gauge.
 struct ServerStats {
   std::uint64_t accepted = 0;   // queued for a worker
   std::uint64_t served = 0;     // answered with a VO or an update ack
@@ -71,6 +72,10 @@ struct ServerStats {
   // was processed and answered — so the accepted invariant is unchanged.
   std::uint64_t updates_applied = 0;
   std::uint64_t updates_rejected = 0;
+  // Gauge, not a counter: sessions the server holds a thread for — live
+  // ones plus any that ended since the last AttachTransport reaped them.
+  // 0 after Stop().
+  std::uint64_t sessions = 0;
 };
 
 class SpServer {
@@ -85,7 +90,8 @@ class SpServer {
   SpServer& operator=(const SpServer&) = delete;
 
   // Spawns a session thread serving frames from `t` until Stop() or the
-  // peer closes. Returns false once Stop() has begun.
+  // peer closes, first joining and dropping every session that has ended.
+  // Returns false once Stop() has begun.
   bool AttachTransport(std::shared_ptr<Transport> t);
 
   // Drain-then-stop: idempotent and safe under concurrent callers — the
@@ -127,12 +133,30 @@ class SpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
 
-  // Guards the session/transport registries; always held alone (rank
-  // kServerSessions sits below kServerSp so holding it across a query would
-  // trip lockdep, not deadlock silently).
+  // One attached transport and the thread serving it. The thread starts
+  // last, so emplace_back either registers a running session or throws with
+  // nothing started. `done` is set once SessionLoop has returned, so the
+  // thread joins at once.
+  struct Session {
+    Session(SpServer* server, std::shared_ptr<Transport> t)
+        : transport(std::move(t)),
+          done(std::make_shared<std::atomic<bool>>(false)),
+          thread([server, tr = transport, flag = done] {
+            server->SessionLoop(tr);
+            flag->store(true);
+          }) {}
+
+    std::shared_ptr<Transport> transport;
+    std::shared_ptr<std::atomic<bool>> done;
+    std::thread thread;
+  };
+
+  // Guards the session registry; always held alone (rank kServerSessions
+  // sits below kServerSp so holding it across a query would trip lockdep,
+  // not deadlock silently).
   common::RankedMutex<common::LockRank::kServerSessions> sessions_mu_;
-  std::vector<std::thread> session_threads_;
-  std::vector<std::shared_ptr<Transport>> transports_;
+  std::vector<Session> sessions_;
+  std::atomic<std::uint64_t> session_count_{0};  // sessions_.size()
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> served_{0};

@@ -59,18 +59,35 @@ TEST_F(AbsTest, VerifyRejectsTamperedSignature) {
   Policy pred = Policy::Parse("(RoleA & RoleB) | RoleC");
   auto sig = Abs::Sign(mvk_, sk_all_, Msg("m"), pred, rng_.get());
   ASSERT_TRUE(sig.has_value());
-  Signature bad = *sig;
-  bad.y = bad.y + crypto::G1Generator();
-  EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad));
-  bad = *sig;
-  bad.s[0] = bad.s[0].Double();
-  EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad));
-  bad = *sig;
-  bad.p[0] = bad.p[0] + crypto::G2Generator();
-  EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad));
-  bad = *sig;
-  bad.tau[0] ^= 1;
-  EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad));
+  ASSERT_GE(sig->p.size(), 2u);
+  // Both arms reject every tamper kind: the folded default (a batch of one
+  // signature) and the exact per-equation reference.
+  for (bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact" : "folded");
+    EXPECT_TRUE(Abs::Verify(mvk_, Msg("m"), pred, *sig, exact));
+    Signature bad = *sig;
+    bad.w = bad.w + crypto::G1Generator();
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    bad = *sig;
+    bad.y = bad.y + crypto::G1Generator();
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    bad = *sig;
+    bad.s[0] = bad.s[0].Double();
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    bad = *sig;
+    bad.p[0] = bad.p[0] + crypto::G2Generator();
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    bad = *sig;
+    bad.p.back() = bad.p.back() + crypto::G2Generator();
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("M"), pred, *sig, exact));
+    bad = *sig;
+    bad.epoch += 1;
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+    bad = *sig;
+    bad.tau[0] ^= 1;
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, bad, exact));
+  }
 }
 
 TEST_F(AbsTest, SignFailsWithoutSatisfyingAttributes) {
@@ -144,7 +161,11 @@ TEST_F(AbsTest, RelaxOnComplexPredicates) {
   RoleSet lacks = {"Role0", "RoleA", "RoleC", "RoleD"};
   auto relaxed = Abs::Relax(mvk_, *sig, pred, Msg("m"), lacks, &rng);
   ASSERT_TRUE(relaxed.has_value());
-  EXPECT_TRUE(Abs::Verify(mvk_, Msg("m"), Policy::OrOfRoles(lacks), *relaxed));
+  for (bool exact : {false, true}) {
+    EXPECT_TRUE(Abs::Verify(mvk_, Msg("m"), Policy::OrOfRoles(lacks), *relaxed,
+                            exact))
+        << (exact ? "exact" : "folded");
+  }
   // User owns {RoleA, RoleB}: predicate satisfied, relaxation must fail.
   RoleSet lacks2 = {"Role0", "RoleC", "RoleD"};
   EXPECT_FALSE(Abs::Relax(mvk_, *sig, pred, Msg("m"), lacks2, &rng).has_value());
@@ -207,8 +228,8 @@ TEST_F(AbsTest, BatchAcceptsValidSignatures) {
     auto sig = Abs::Sign(mvk_, sk_all_, msg, preds[k % preds.size()],
                          rng_.get());
     ASSERT_TRUE(sig.has_value());
-    ASSERT_TRUE(Abs::AccumulateVerify(mvk_, msg, preds[k % preds.size()],
-                                      *sig, rng_.get(), &acc));
+    ASSERT_TRUE(acc.Accumulate(msg, preds[k % preds.size()], *sig,
+                               rng_.get()));
   }
   EXPECT_EQ(acc.Size(), 9u);
   EXPECT_TRUE(acc.Check());
@@ -223,8 +244,7 @@ TEST_F(AbsTest, BatchRejectsOneTamperedSignature) {
       auto sig = Abs::Sign(mvk_, sk_all_, msg, pred, rng_.get());
       ASSERT_TRUE(sig.has_value());
       if (k == tampered) sig->s[0] = sig->s[0].Double();
-      ASSERT_TRUE(
-          Abs::AccumulateVerify(mvk_, msg, pred, *sig, rng_.get(), &acc));
+      ASSERT_TRUE(acc.Accumulate(msg, pred, *sig, rng_.get()));
     }
     EXPECT_FALSE(acc.Check()) << "tampered index " << tampered;
   }
@@ -235,17 +255,14 @@ TEST_F(AbsTest, BatchStructuralFailureLeavesBatchUntouched) {
   auto good = Abs::Sign(mvk_, sk_all_, Msg("ok"), pred, rng_.get());
   ASSERT_TRUE(good.has_value());
   BatchAccumulator acc(mvk_);
-  ASSERT_TRUE(
-      Abs::AccumulateVerify(mvk_, Msg("ok"), pred, *good, rng_.get(), &acc));
+  ASSERT_TRUE(acc.Accumulate(Msg("ok"), pred, *good, rng_.get()));
 
   Signature wrong_shape = *good;
   wrong_shape.s.push_back(crypto::G1Generator());
-  EXPECT_FALSE(Abs::AccumulateVerify(mvk_, Msg("ok"), pred, wrong_shape,
-                                     rng_.get(), &acc));
+  EXPECT_FALSE(acc.Accumulate(Msg("ok"), pred, wrong_shape, rng_.get()));
   Signature y_inf = *good;
   y_inf.y = G1::Infinity();
-  EXPECT_FALSE(
-      Abs::AccumulateVerify(mvk_, Msg("ok"), pred, y_inf, rng_.get(), &acc));
+  EXPECT_FALSE(acc.Accumulate(Msg("ok"), pred, y_inf, rng_.get()));
 
   // The rejected signatures contributed nothing: the batch still passes.
   EXPECT_EQ(acc.Size(), 1u);
@@ -273,10 +290,8 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p1"), pred, bad1));
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p2"), pred, bad2));
     BatchAccumulator acc(mvk_);
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p1"), pred, bad1, rng_.get(), &acc));
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc));
+    ASSERT_TRUE(acc.Accumulate(Msg("p1"), pred, bad1, rng_.get()));
+    ASSERT_TRUE(acc.Accumulate(Msg("p2"), pred, bad2, rng_.get()));
     EXPECT_FALSE(acc.Check()) << "W cancellation survived, trial " << trial;
 
     // Y-side cancellation: hits the shared h and h0 folds instead.
@@ -287,10 +302,8 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p1"), pred, bad1));
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p2"), pred, bad2));
     BatchAccumulator acc2(mvk_);
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p1"), pred, bad1, rng_.get(), &acc2));
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc2));
+    ASSERT_TRUE(acc2.Accumulate(Msg("p1"), pred, bad1, rng_.get()));
+    ASSERT_TRUE(acc2.Accumulate(Msg("p2"), pred, bad2, rng_.get()));
     EXPECT_FALSE(acc2.Check()) << "Y cancellation survived, trial " << trial;
   }
 }

@@ -601,11 +601,46 @@ bool SameRecords(const std::vector<Record>& a, const std::vector<Record>& b) {
   return true;
 }
 
-// The default verify path now folds every ABS check of a VO into one batch
+// The default verify path folds every ABS check of a VO into one batch
 // (core/parallel_verify.h). It must be observationally identical to the
-// retained per-signature path — same VerifyResult (code, entry index,
-// detail) and same emitted records — on valid AND tampered VOs, for every
-// VO shape. ScopedPerSignatureVerify forces the old path for comparison.
+// exact reference arm — same VerifyResult (code, entry index, detail) and
+// same emitted records — on valid AND tampered VOs, for every VO shape. Two
+// inputs select the reference: a ScopedPerSignatureVerify guard and the
+// public exact_pairings=true flag; both are compared against the batch.
+enum class VerifyArm { kBatched, kScopedReference, kExactPairings };
+constexpr VerifyArm kReferenceArms[] = {VerifyArm::kScopedReference,
+                                        VerifyArm::kExactPairings};
+
+const char* ArmName(VerifyArm arm) {
+  switch (arm) {
+    case VerifyArm::kBatched:
+      return "batched";
+    case VerifyArm::kScopedReference:
+      return "ScopedPerSignatureVerify";
+    case VerifyArm::kExactPairings:
+      return "exact_pairings";
+  }
+  return "?";
+}
+
+// Runs `verify(exact_pairings)` on the given arm.
+template <typename Fn>
+VerifyResult RunOnArm(VerifyArm arm, const Fn& verify) {
+  if (arm == VerifyArm::kScopedReference) {
+    ScopedPerSignatureVerify guard;
+    return verify(false);
+  }
+  return verify(arm == VerifyArm::kExactPairings);
+}
+
+abs::Signature& EntrySignature(VoEntry& entry) {
+  if (auto* res = std::get_if<ResultEntry>(&entry)) return res->app_sig;
+  if (auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
+    return rec->aps_sig;
+  }
+  return std::get<InaccessibleBoxEntry>(entry).aps_sig;
+}
+
 TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   Domain domain{/*dims=*/1, /*bits=*/5};
   DataOwner owner(RoleSet{"RoleA", "RoleB"}, domain, 31337);
@@ -620,14 +655,25 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   Box range{Point{1}, Point{18}};
 
   auto run_range = [&](const Vo& v, std::vector<Record>* out,
-                       bool per_sig) -> VerifyResult {
-    if (per_sig) {
-      ScopedPerSignatureVerify guard;
+                       VerifyArm arm) -> VerifyResult {
+    return RunOnArm(arm, [&](bool exact) {
       return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                             keys.universe, v, out);
+                             keys.universe, v, out, exact);
+    });
+  };
+  // Batched verdict and records, each reference compared against them.
+  auto check_range = [&](const Vo& v, std::vector<Record>* batched_out,
+                         const std::string& what) -> VerifyResult {
+    VerifyResult b = run_range(v, batched_out, VerifyArm::kBatched);
+    for (VerifyArm ref : kReferenceArms) {
+      std::vector<Record> ref_out;
+      VerifyResult r = run_range(v, &ref_out, ref);
+      EXPECT_TRUE(SameResult(b, r)) << what << ", " << ArmName(ref) << ": "
+                                    << b.ToString() << " vs " << r.ToString();
+      EXPECT_TRUE(SameRecords(*batched_out, ref_out))
+          << what << ", " << ArmName(ref);
     }
-    return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                           keys.universe, v, out);
+    return b;
   };
 
   // Range: valid, then one tampered ResultEntry (first / middle / last).
@@ -640,13 +686,9 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   }
   ASSERT_GE(result_positions.size(), 3u);
 
-  std::vector<Record> batched_out, per_sig_out;
-  VerifyResult batched = run_range(vo, &batched_out, false);
-  VerifyResult sequential = run_range(vo, &per_sig_out, true);
+  std::vector<Record> batched_out;
+  VerifyResult batched = check_range(vo, &batched_out, "valid range");
   EXPECT_TRUE(batched.ok()) << batched.ToString();
-  EXPECT_TRUE(SameResult(batched, sequential))
-      << batched.ToString() << " vs " << sequential.ToString();
-  EXPECT_TRUE(SameRecords(batched_out, per_sig_out));
   EXPECT_FALSE(batched_out.empty());
 
   for (std::size_t pos : {result_positions.front(),
@@ -655,79 +697,88 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
     Vo bad = vo;
     std::get<ResultEntry>(bad.entries[pos]).value += "-tampered";
     batched_out.clear();
-    per_sig_out.clear();
-    VerifyResult b = run_range(bad, &batched_out, false);
-    VerifyResult s = run_range(bad, &per_sig_out, true);
+    VerifyResult b =
+        check_range(bad, &batched_out, "entry " + std::to_string(pos));
     EXPECT_FALSE(b.ok());
     EXPECT_EQ(b.code, VerifyCode::kBadSignature);
-    EXPECT_TRUE(SameResult(b, s))
-        << "entry " << pos << ": " << b.ToString() << " vs " << s.ToString();
-    EXPECT_TRUE(SameRecords(batched_out, per_sig_out)) << "entry " << pos;
   }
 
+  // Second job fails structurally (one S component too many): the batch
+  // accumulates exactly one signature before it and checks that alone.
+  ASSERT_GE(vo.entries.size(), 2u);
+  Vo shape = vo;
+  EntrySignature(shape.entries[1]).s.push_back(crypto::G1Generator());
+  batched_out.clear();
+  VerifyResult bs = check_range(shape, &batched_out, "structural job 1");
+  EXPECT_EQ(bs.code, VerifyCode::kBadSignature) << bs.ToString();
+  EXPECT_EQ(bs.entry_index, 1) << bs.ToString();
+
   // Equality: accessible record, valid and tampered.
+  auto run_eq = [&](const Vo& v, Record* rec, bool* acc,
+                    VerifyArm arm) -> VerifyResult {
+    return RunOnArm(arm, [&](bool exact) {
+      return VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
+                                keys.universe, v, rec, acc, exact);
+    });
+  };
   Vo evo = sp.EqualityQuery(Point{3}, creds.roles);
-  Record brec, srec;
-  bool bacc = false, sacc = false;
-  VerifyResult be, se;
-  {
-    be = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, evo, &brec, &bacc);
-    ScopedPerSignatureVerify guard;
-    se = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, evo, &srec, &sacc);
-  }
+  Record brec;
+  bool bacc = false;
+  VerifyResult be = run_eq(evo, &brec, &bacc, VerifyArm::kBatched);
   EXPECT_TRUE(be.ok()) << be.ToString();
-  EXPECT_TRUE(SameResult(be, se));
-  EXPECT_EQ(bacc, sacc);
-  EXPECT_EQ(brec.value, srec.value);
+  for (VerifyArm ref : kReferenceArms) {
+    Record srec;
+    bool sacc = false;
+    VerifyResult se = run_eq(evo, &srec, &sacc, ref);
+    EXPECT_TRUE(SameResult(be, se)) << ArmName(ref);
+    EXPECT_EQ(bacc, sacc) << ArmName(ref);
+    EXPECT_EQ(brec.value, srec.value) << ArmName(ref);
+  }
   Vo ebad = evo;
   for (auto& entry : ebad.entries) {
     if (auto* res = std::get_if<ResultEntry>(&entry)) res->value += "x";
   }
-  {
-    be = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, ebad, nullptr, &bacc);
-    ScopedPerSignatureVerify guard;
-    se = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, ebad, nullptr, &sacc);
-  }
+  be = run_eq(ebad, nullptr, &bacc, VerifyArm::kBatched);
   EXPECT_FALSE(be.ok());
-  EXPECT_TRUE(SameResult(be, se))
-      << be.ToString() << " vs " << se.ToString();
+  for (VerifyArm ref : kReferenceArms) {
+    bool sacc = false;
+    VerifyResult se = run_eq(ebad, nullptr, &sacc, ref);
+    EXPECT_TRUE(SameResult(be, se))
+        << ArmName(ref) << ": " << be.ToString() << " vs " << se.ToString();
+  }
 
   // Join: valid and tampered pair.
   ServiceProvider spj(owner.keys(), owner.BuildAds(records));
   spj.AttachJoinTable(owner.BuildAds(records));
   JoinVo jvo = spj.JoinQuery(range, creds.roles);
-  auto run_join = [&](const JoinVo& v,
-                      std::vector<std::pair<Record, Record>>* out,
-                      bool per_sig) -> VerifyResult {
-    if (per_sig) {
-      ScopedPerSignatureVerify guard;
+  using JoinRows = std::vector<std::pair<Record, Record>>;
+  auto run_join = [&](const JoinVo& v, JoinRows* out,
+                      VerifyArm arm) -> VerifyResult {
+    return RunOnArm(arm, [&](bool exact) {
       return VerifyJoinVoEx(keys.mvk, keys.domain, range, creds.roles,
-                            keys.universe, v, out);
-    }
-    return VerifyJoinVoEx(keys.mvk, keys.domain, range, creds.roles,
-                          keys.universe, v, out);
+                            keys.universe, v, out, exact);
+    });
   };
-  std::vector<std::pair<Record, Record>> bjout, sjout;
-  VerifyResult bj = run_join(jvo, &bjout, false);
-  VerifyResult sj = run_join(jvo, &sjout, true);
+  auto check_join = [&](const JoinVo& v, const char* what) -> VerifyResult {
+    JoinRows bjout;
+    VerifyResult bj = run_join(v, &bjout, VerifyArm::kBatched);
+    for (VerifyArm ref : kReferenceArms) {
+      JoinRows sjout;
+      VerifyResult sj = run_join(v, &sjout, ref);
+      EXPECT_TRUE(SameResult(bj, sj)) << what << ", " << ArmName(ref) << ": "
+                                      << bj.ToString() << " vs "
+                                      << sj.ToString();
+      EXPECT_EQ(bjout.size(), sjout.size()) << what << ", " << ArmName(ref);
+    }
+    return bj;
+  };
+  VerifyResult bj = check_join(jvo, "valid join");
   EXPECT_TRUE(bj.ok()) << bj.ToString();
-  EXPECT_TRUE(SameResult(bj, sj));
-  EXPECT_EQ(bjout.size(), sjout.size());
   ASSERT_FALSE(jvo.pairs.empty());
   JoinVo jbad = jvo;
   jbad.pairs.front().r.value += "-tampered";
-  bjout.clear();
-  sjout.clear();
-  bj = run_join(jbad, &bjout, false);
-  sj = run_join(jbad, &sjout, true);
+  bj = check_join(jbad, "tampered join");
   EXPECT_FALSE(bj.ok());
-  EXPECT_TRUE(SameResult(bj, sj))
-      << bj.ToString() << " vs " << sj.ToString();
-  EXPECT_EQ(bjout.size(), sjout.size());
 }
 
 // Same equivalence for the kd-tree verifier, which batches through the same

@@ -4,6 +4,7 @@
 // seeded chaos suites over a FaultyTransport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -577,6 +578,34 @@ TEST(SpServiceTest, OutOfDomainQueryIsFatalNotRetried) {
   EXPECT_EQ(r.server_error.code, RpcErrorCode::kBadRequest);
   EXPECT_EQ(r.attempts, 1);
   server.Stop();
+}
+
+// A long-running server reaps ended sessions: each AttachTransport joins
+// and drops the sessions whose loop has returned, so 64 connections opened
+// and closed one after another leave only the newest (and at most a couple
+// still winding down) registered, and Stop() joins the rest.
+TEST(SpServiceTest, EndedSessionsAreReapedOnAttach) {
+  ServiceEnv& env = ServiceEnv::Get();
+  SpServer server(env.sp.get());
+  std::uint64_t peak = 0;
+  for (int i = 0; i < 64; ++i) {
+    auto [server_end, client_end] = PipeTransport::CreatePair();
+    ASSERT_TRUE(server.AttachTransport(server_end));
+    peak = std::max(peak, server.stats().sessions);
+    // One cheap round trip (an out-of-domain key is answered kBadRequest
+    // without building a VO) proves the session is serving, then the peer
+    // hangs up.
+    ApqaClient client(env.owner->keys(), env.creds_ab, client_end,
+                      FastClientOptions());
+    Record rec;
+    ClientResult r = client.Equality(Point{99}, &rec, nullptr);
+    EXPECT_EQ(r.server_error.code, RpcErrorCode::kBadRequest) << i;
+    client_end->Close();
+  }
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, 3u);
+  server.Stop();
+  EXPECT_EQ(server.stats().sessions, 0u);
 }
 
 TEST(SpServiceTest, LoadSheddingAnswersEveryFrameAndRecovers) {
